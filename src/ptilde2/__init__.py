@@ -34,6 +34,7 @@ from .cohomology import (
     Cochain,
     CohomologyReport,
     RouteDisagreement,
+    SolverFailure,
     analyze,
     derivation_residual,
     derivation_space,

@@ -1,15 +1,17 @@
 """Command line surface: single-instance reports, grid scans, verification
 suites, and JSON export of the algebra and its modules.
 
-Exit codes: 0 success, 1 verification failure (or internal solver-route
-disagreement), 2 usage error.  Scans distribute independent (a, b) cells over
-worker processes and always emit rows in lexicographic (a, b) order, so the
-output bytes never depend on the worker count.
+Exit codes: 0 success, 1 verification failure (or an internal solver failure,
+such as a solver-route disagreement), 2 usage error.  Scans distribute
+independent (a, b) cells over worker processes and always emit rows in
+lexicographic (a, b) order, so the output bytes never depend on the worker
+count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
@@ -18,7 +20,7 @@ import click
 import numpy as np
 
 from .cohomology import (
-    RouteDisagreement,
+    SolverFailure,
     cartan_values_annihilated,
     derivation_residual,
     h1,
@@ -119,11 +121,17 @@ def _algebra_cache(p: int):
     return _ALGEBRAS[p]
 
 
+def _worker_count(jobs: int, cells: int) -> int:
+    """Worker processes for a scan: the requested count, capped by cells and CPUs."""
+    return min(jobs, cells, os.cpu_count() or 1)
+
+
 def scan_rows(p: int, jobs: int = 1) -> list[ScanRow]:
     """One row per (a, b) in lexicographic order, identical for any job count."""
     cells = [(p, a, b) for a in range(p) for b in range(p)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = _worker_count(jobs, len(cells))
+    if workers > 1:
+        with Pool(workers) as pool:
             return pool.map(_scan_cell, cells)
     return [_scan_cell(c) for c in cells]
 
@@ -158,8 +166,8 @@ def cmd_h1(p, a, b, fmt):
     km = build_kac_module(g, a, b)
     try:
         rep = h1(g, km)
-    except RouteDisagreement as exc:
-        click.echo(f"internal solver-route disagreement: {exc}", err=True)
+    except SolverFailure as exc:
+        click.echo(f"internal solver failure: {exc}", err=True)
         sys.exit(1)
     if fmt == "json":
         click.echo(json.dumps(report_to_json(rep, g, km), indent=2))
@@ -182,13 +190,13 @@ def cmd_h1(p, a, b, fmt):
 @main.command("scan")
 @click.option("--p", required=True, type=int, callback=_odd_prime_option)
 @click.option("--out", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_scan(p, out, jobs):
     """Scan the full (a, b) grid; emit one row per weight plus a summary."""
     try:
         rows = scan_rows(p, jobs)
-    except RouteDisagreement as exc:
-        click.echo(f"internal solver-route disagreement: {exc}", err=True)
+    except SolverFailure as exc:
+        click.echo(f"internal solver failure: {exc}", err=True)
         sys.exit(1)
     summary = scan_summary(p, rows)
     if out == "csv":
@@ -309,8 +317,8 @@ def suite_lemmas(p: int) -> list[str]:
             km = build_kac_module(g, a, b)
             try:
                 h1(g, km)
-            except RouteDisagreement as exc:
-                failures.append(str(exc))
+            except SolverFailure as exc:
+                failures.append(f"solver failure at ({a},{b}): {exc}")
             if not weight_plus_inner_equals_der(g, km):
                 failures.append(f"WDer + Ider != Der at ({a},{b})")
             bad = cartan_values_annihilated(g, km)

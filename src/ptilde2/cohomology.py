@@ -6,17 +6,24 @@ parity-f cochain phi is a derivation when, for all homogeneous x, y,
 
     phi([x, y]) = (-1)^{f|x|} x phi(y) - (-1)^{|y|(f+|x|)} y phi(x).
 
-Derivation spaces are kernels of one linear block per ordered basis pair (all
-64 pairs are generated; the redundancy is free at this scale and guards
-against sign slips).  All subspaces live in the flattened coordinate space of
-cochain matrices, flat index (row r, column j) -> r * dim(g) + j, so sums,
-intersections and membership tests compose across solver routes.
+The identity is generated for all 64 ordered basis pairs (the redundancy is
+cheap and guards against sign slips), as sparse entries.  The system is graded
+by cochain weight: the coordinate phi(x_k)_r has weight wt(r) - root(k), and
+every equation of the pair (i, j) at module row r has weight
+wt(r) - root(i) - root(j), all mod p.  Derivation spaces are therefore solved
+one weight block at a time and merged; an entry that crosses weights raises.
+All subspaces live in the flattened coordinate space of cochain matrices,
+flat index (row r, column j) -> r * dim(g) + j, so sums and membership tests
+compose across solver routes.
 
-h1 always runs two independent routes, dim Der - dim Ider and
-dim WDer - dim(WDer meet Ider) over weight-constrained cochains, and treats
-any disagreement as a fatal internal error.  The closed-form predictor is a
-third value; predictor disagreement is reported, not raised, since the
-validated solver is the oracle of record.
+h1 always runs two independent routes: dim Der - dim Ider, and
+dim WDer - dim(WDer meet Ider) over the weight-0 block, computed
+dimension-only as dim(WDer + Ider) - dim Ider.  Their agreement is the
+paper's lemma WDer + Ider = Der, i.e. Der_nu = Ider_nu for every weight
+nu != 0; any disagreement, like any other broken solver invariant, raises
+SolverFailure.  The closed-form predictor is a third value; predictor
+disagreement is reported, not raised, since the validated solver is the
+oracle of record.
 """
 
 from __future__ import annotations
@@ -27,13 +34,20 @@ import numpy as np
 
 from .linalg import FpMatrix, Subspace, check_odd_prime
 from .modules import GModule, basis_module_weights, build_kac_module, residue
-from .superalgebra import P2_LABELS, Superalgebra, basis_root_weights, build_p_tilde_2
+from .superalgebra import (
+    P2_LABELS,
+    Superalgebra,
+    _diagonal_weights,
+    basis_root_weights,
+    build_p_tilde_2,
+)
 
 __all__ = [
     "Cochain",
     "CochainSpace",
     "H1Dims",
     "CohomologyReport",
+    "SolverFailure",
     "RouteDisagreement",
     "derivation_residual",
     "derivation_space",
@@ -52,7 +66,11 @@ __all__ = [
 ]
 
 
-class RouteDisagreement(RuntimeError):
+class SolverFailure(RuntimeError):
+    """An internal invariant of the H1 solver failed; its result cannot be trusted."""
+
+
+class RouteDisagreement(SolverFailure):
     """The full-derivation route and the weight-derivation route disagreed."""
 
     def __init__(self, p, weight, der_route, weight_route):
@@ -64,6 +82,10 @@ class RouteDisagreement(RuntimeError):
             f"solver routes disagree at p={p}, lambda={weight}: "
             f"der-ider={der_route} vs wder-(wder^ider)={weight_route}"
         )
+
+    def __reduce__(self):
+        # rebuild from the fields, so the error survives a worker-process hop
+        return type(self), (self.p, self.weight, self.der_route, self.weight_route)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +154,19 @@ def _coherent_columns(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
 
 
 def _weight_matched_columns(g: Superalgebra, m: GModule) -> np.ndarray:
-    roots = basis_root_weights(g)
-    wts = basis_module_weights(m)
-    mask = np.array([[wts[r] == roots[j] for j in range(g.dim)] for r in range(m.dim)])
+    roots = np.array(basis_root_weights(g))
+    wts = np.array(basis_module_weights(m))
+    mask = np.all(wts[:, None, :] == roots[None, :, :], axis=2)
     return np.nonzero(mask.reshape(-1))[0]
 
 
 def _derivation_system(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
-    """Coefficient matrix of the identity over all 64 ordered pairs, full coordinates."""
+    """Dense coefficient matrix of the identity over all 64 ordered pairs.
+
+    Reference only: the solver assembles the same system weight block by
+    weight block in _system_entries / _solve_constrained, and the tests
+    compare the two.
+    """
     dm, dg, p = m.dim, g.dim, g.p
     acts = np.stack(m.actions)
     c = g.structure
@@ -159,19 +186,114 @@ def _derivation_system(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
     return np.mod(rows, p)
 
 
+def _system_entries(
+    g: Superalgebra, m: GModule, parity: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 64-pair derivation system as sparse (row, column, value) entries.
+
+    Row (i * dim g + j) * dim M + r is module row r of the identity on the
+    pair (i, j), and column r * dim g + k is the flat coordinate phi(x_k)_r,
+    exactly as in _derivation_system.  Entries at the same position add.
+    """
+    dm, dg = m.dim, g.dim
+    par = np.asarray(g.parity)
+    s1 = np.where(parity * par % 2, -1, 1)
+    s2 = np.where(par[None, :] * (parity + par[:, None]) % 2, -1, 1)  # [i, j]
+    rs = np.arange(dm)
+    js = np.arange(dg)
+    # phi([x_i, x_j]) = sum_k c_ijk phi(x_k), at every module row r
+    ci, cj, ck = np.nonzero(g.structure)
+    c_rows = ((ci * dg + cj) * dm)[:, None] + rs
+    c_cols = rs * dg + ck[:, None]
+    c_vals = np.broadcast_to(g.structure[ci, cj, ck][:, None], c_rows.shape)
+    # one nonzero (x, r, r') of an action matrix, used as x_i or as x_j
+    acts = np.stack(m.actions)
+    ax, ar, ac = np.nonzero(acts)
+    av = acts[ax, ar, ac][:, None]
+    # - s1(i) x_i phi(x_j), for every j
+    i_rows = (ax[:, None] * dg + js) * dm + ar[:, None]
+    i_cols = ac[:, None] * dg + js
+    i_vals = np.broadcast_to(-s1[ax][:, None] * av, i_rows.shape)
+    # + s2(i, j) x_j phi(x_i), for every i
+    j_rows = (js * dg + ax[:, None]) * dm + ar[:, None]
+    j_cols = ac[:, None] * dg + js
+    j_vals = s2.T[ax] * av
+    return (
+        np.concatenate([c_rows.ravel(), i_rows.ravel(), j_rows.ravel()]),
+        np.concatenate([c_cols.ravel(), i_cols.ravel(), j_cols.ravel()]),
+        np.concatenate([c_vals.ravel(), i_vals.ravel(), j_vals.ravel()]),
+    )
+
+
+def _weight_codes(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray]:
+    """Weight of each system row and of each flat coordinate, as integer codes.
+
+    Coordinate (r, k) has weight wt(r) - root(k); row r of the pair (i, j) has
+    weight wt(r) - root(i) - root(j).  If the Cartan action is not diagonal
+    every weight is 0, so the whole system is a single block.
+    """
+    p = g.p
+    roots = _diagonal_weights(g, g.structure)
+    wts = _diagonal_weights(g, m.actions)
+    if roots is None or wts is None:
+        roots = np.zeros((g.dim, 2), dtype=np.int64)
+        wts = np.zeros((m.dim, 2), dtype=np.int64)
+
+    def code(w: np.ndarray) -> np.ndarray:
+        w = np.mod(w, p)
+        return (w[..., 0] * p + w[..., 1]).reshape(-1)
+
+    coords = wts[:, None, :] - roots[None, :, :]  # [r, k]
+    rows = wts[None, None] - roots[:, None, None] - roots[None, :, None]  # [i, j, r]
+    return code(rows), code(coords)
+
+
 def _solve_constrained(
     g: Superalgebra, m: GModule, parity: int, columns: np.ndarray
 ) -> CochainSpace:
-    """Kernel of the derivation system restricted to the given free coordinates."""
+    """Kernel of the derivation system restricted to the given free coordinates.
+
+    The system never exists as one matrix: its entries are grouped by weight,
+    each weight block is solved on its own, and the block kernels, which have
+    disjoint supports, are merged into the canonical basis by pivot column.
+    """
     p = g.p
     n = m.dim * g.dim
     if columns.size == 0:
         return CochainSpace(parity=parity, basis=(), space=Subspace.zero(p, n))
-    system = _derivation_system(g, m, parity)[:, columns]
-    kernel = FpMatrix(p, system).nullspace()
-    full = np.zeros((kernel.dim, n), dtype=np.int64)
-    full[:, columns] = kernel.basis
-    space = Subspace.from_spanning(p, n, full)
+    rows, cols, vals = _system_entries(g, m, parity)
+    row_wt, coord_wt = _weight_codes(g, m)
+    if np.any(row_wt[rows] != coord_wt[cols]):
+        raise ValueError("the derivation system mixes weights: the module is not weight-graded")
+    free = np.zeros(n, dtype=bool)
+    free[columns] = True
+    keep = free[cols]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+
+    col_wt = coord_wt[columns]
+    by_wt = np.argsort(col_wt, kind="stable")
+    weights, starts = np.unique(col_wt[by_wt], return_index=True)
+    blocks = np.split(columns[by_wt], starts[1:])  # each block's columns ascend
+    order = np.argsort(coord_wt[cols], kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    cuts = np.searchsorted(coord_wt[cols], weights)[1:]
+
+    local = np.empty(n, dtype=np.int64)
+    kernels = []
+    for bcols, brows, bc, bv in zip(
+        blocks, np.split(rows, cuts), np.split(cols, cuts), np.split(vals, cuts)
+    ):
+        local[bcols] = np.arange(bcols.size)
+        urows, ridx = np.unique(brows, return_inverse=True)
+        block = np.zeros((urows.size, bcols.size), dtype=np.int64)
+        np.add.at(block, (ridx, local[bc]), bv)
+        kernel = FpMatrix(p, block).nullspace()
+        lifted = np.zeros((kernel.dim, n), dtype=np.int64)
+        lifted[:, bcols] = kernel.basis
+        kernels.append(lifted)
+    merged = np.concatenate(kernels)
+    merged = merged[np.argsort(np.argmax(merged != 0, axis=1))]
+    space = Subspace(p, n, merged)
     basis = tuple(Cochain(p, parity, row.reshape(m.dim, g.dim)) for row in space.basis)
     return CochainSpace(parity=parity, basis=basis, space=space)
 
@@ -346,7 +468,8 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
 
     Raises RouteDisagreement if the weight-derivation route yields different
     dimensions than Der/Ider (which would signal a solver bug, since every
-    derivation decomposes as a weight-derivation plus an inner one).
+    derivation decomposes as a weight-derivation plus an inner one), and
+    SolverFailure if inner or weight-derivations escape the derivation space.
     """
     if m.highest_weight is None:
         raise ValueError("module must carry its highest weight")
@@ -357,14 +480,15 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
 
     for s in (0, 1):
         if not ider[s].is_subspace_of(der[s].space):
-            raise RuntimeError(f"inner derivations escaped the derivation space (parity {s})")
+            raise SolverFailure(f"inner derivations escaped the derivation space (parity {s})")
         if not wder[s].space.is_subspace_of(der[s].space):
-            raise RuntimeError(f"weight-derivations escaped the derivation space (parity {s})")
+            raise SolverFailure(f"weight-derivations escaped the derivation space (parity {s})")
 
     h1_even = der[0].dim - ider[0].dim
     h1_odd = der[1].dim - ider[1].dim
-    w_even = wder[0].dim - wder[0].space.intersection(ider[0]).dim
-    w_odd = wder[1].dim - wder[1].space.intersection(ider[1]).dim
+    # dim WDer - dim(WDer meet Ider), without forming the intersection
+    w_even = (wder[0].space + ider[0]).dim - ider[0].dim
+    w_odd = (wder[1].space + ider[1]).dim - ider[1].dim
     if (w_even, w_odd) != (h1_even, h1_odd):
         raise RouteDisagreement(g.p, m.highest_weight, (h1_even, h1_odd), (w_even, w_odd))
 

@@ -186,8 +186,9 @@ class Subspace:
     """A subspace of F_p^n held as a canonical reduced-echelon row basis.
 
     Two equal subspaces always carry identical bases, so == is subspace
-    equality.  Construct through from_spanning / zero / full, which
-    canonicalize; the raw constructor trusts its input.
+    equality.  from_spanning canonicalizes any spanning set; the raw
+    constructor accepts only a basis already in canonical form and raises
+    ValueError otherwise.
     """
 
     __slots__ = ("p", "ambient_dim", "basis")
@@ -198,6 +199,13 @@ class Subspace:
         rows = np.asarray(basis, dtype=np.int64)
         shape = (0, self.ambient_dim) if rows.size == 0 else (-1, self.ambient_dim)
         self.basis = _frozen_grid(self.p, rows.reshape(shape))
+        # canonical: leading entries 1 in strictly increasing columns, and each
+        # pivot column a unit column (a zero row fails at its column-0 "pivot")
+        if self.dim:
+            pivots = (self.basis != 0).argmax(axis=1)
+            unit = self.basis[:, pivots] == np.eye(self.dim, dtype=np.int64)
+            if not (unit.all() and (pivots[1:] > pivots[:-1]).all()):
+                raise ValueError("basis is not in canonical reduced row-echelon form")
 
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, rows) -> "Subspace":

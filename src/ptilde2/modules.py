@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Subspace, check_odd_prime
-from .superalgebra import P2_LABELS, Superalgebra, Weight
+from .superalgebra import P2_LABELS, Superalgebra, Weight, _diagonal_weights, _weight_spaces
 
 __all__ = [
     "RepresentationError",
@@ -290,39 +290,22 @@ def build_kac_module(g: Superalgebra, a, b) -> KacModule:
 
 def basis_module_weights(m: GModule) -> list[Weight]:
     """Weight of each module basis vector; requires diagonal Cartan action."""
-    g = m.algebra
-    if len(g.cartan) != 2:
-        raise ValueError("expected a rank-2 Cartan index set")
-    diags = []
-    for c_idx in g.cartan:
-        act = m.actions[c_idx]
-        off = act.copy()
-        np.fill_diagonal(off, 0)
-        if np.any(off):
-            raise ValueError(f"action of {g.labels[c_idx]} is not diagonal on the module basis")
-        diags.append(np.diagonal(act).copy())
-    return [Weight(int(diags[0][r]), int(diags[1][r])) for r in range(m.dim)]
+    weights = _diagonal_weights(m.algebra, m.actions)
+    if weights is None:
+        raise ValueError("a Cartan element does not act diagonally on the module basis")
+    return [Weight(*w) for w in weights.tolist()]
 
 
 def weight_decomposition(m: GModule) -> dict[Weight, Subspace]:
     """Group module basis vectors by their simultaneous Cartan eigenvalue pair."""
-    weights = basis_module_weights(m)
-    grouped: dict[Weight, list[int]] = {}
-    for r, w in enumerate(weights):
-        grouped.setdefault(w, []).append(r)
-    out = {}
-    for w, idx in grouped.items():
-        rows = np.zeros((len(idx), m.dim), dtype=np.int64)
-        for r, j in enumerate(idx):
-            rows[r, j] = 1
-        out[w] = Subspace.from_spanning(m.p, m.dim, rows)
-    return out
+    return _weight_spaces(m.p, np.array(basis_module_weights(m)))
 
 
 def target_weight_space(m: GModule, w: Weight) -> Subspace:
     """The weight space at w by direct eigenvalue matching (any w permitted)."""
-    w = Weight(residue(w[0], m.p), residue(w[1], m.p))
-    return weight_decomposition(m).get(w, Subspace.zero(m.p, m.dim))
+    w = (residue(w[0], m.p), residue(w[1], m.p))
+    match = np.all(np.array(basis_module_weights(m)) == w, axis=1)
+    return Subspace(m.p, m.dim, np.eye(m.dim, dtype=np.int64)[match])
 
 
 def root_target_weights(p: int) -> list[Weight]:

@@ -234,38 +234,47 @@ def validate_superalgebra(g: Superalgebra) -> list[Violation]:
     return out
 
 
+def _diagonal_weights(g: Superalgebra, mats) -> np.ndarray | None:
+    """Cartan eigenvalues of each basis vector, one (h1, h2) row per vector.
+
+    mats[i] is the matrix of basis element i on the basis (ad, or a module
+    action); any orientation works, since only the Cartan diagonals are read.
+    Returns None when some Cartan matrix is not diagonal on the basis.
+    """
+    if len(g.cartan) != 2:
+        raise ValueError("expected a rank-2 Cartan index set")
+    blocks = np.stack([np.asarray(mats[c]) for c in g.cartan])
+    diags = np.diagonal(blocks, axis1=1, axis2=2)
+    # any nonzero beyond those on the diagonals sits off the diagonal
+    if np.count_nonzero(blocks) != np.count_nonzero(diags):
+        return None
+    return diags.T.copy()
+
+
+def _weight_spaces(p: int, weights: np.ndarray) -> dict[Weight, Subspace]:
+    """Span of the basis vectors of each weight; sorted unit rows are canonical."""
+    eye = np.eye(len(weights), dtype=np.int64)
+    groups: dict[Weight, list[int]] = {}
+    for r, w in enumerate(weights.tolist()):
+        groups.setdefault(Weight(*w), []).append(r)
+    return {w: Subspace(p, len(weights), eye[idx]) for w, idx in groups.items()}
+
+
 def basis_root_weights(g: Superalgebra) -> list[Weight]:
     """Weight of each basis vector under ad of the Cartan pair.
 
     Requires ad(h) diagonal on the chosen basis for every Cartan element h;
     raises otherwise.
     """
-    if len(g.cartan) != 2:
-        raise ValueError("expected a rank-2 Cartan index set")
-    values = []
-    for c_idx in g.cartan:
-        block = g.structure[c_idx]
-        off = block.copy()
-        np.fill_diagonal(off, 0)
-        if np.any(off):
-            raise ValueError(f"ad of Cartan element {g.labels[c_idx]} is not diagonal")
-        values.append(np.diagonal(block).copy())
-    return [Weight(int(values[0][j]), int(values[1][j])) for j in range(g.dim)]
+    weights = _diagonal_weights(g, g.structure)
+    if weights is None:
+        raise ValueError("ad of a Cartan element is not diagonal on the basis")
+    return [Weight(*w) for w in weights.tolist()]
 
 
 def root_decomposition(g: Superalgebra) -> dict[Weight, Subspace]:
     """Group basis vectors by their simultaneous ad-eigenvalue pair."""
-    weights = basis_root_weights(g)
-    spaces: dict[Weight, list[int]] = {}
-    for j, w in enumerate(weights):
-        spaces.setdefault(w, []).append(j)
-    out = {}
-    for w, idx in spaces.items():
-        rows = np.zeros((len(idx), g.dim), dtype=np.int64)
-        for r, j in enumerate(idx):
-            rows[r, j] = 1
-        out[w] = Subspace.from_spanning(g.p, g.dim, rows)
-    return out
+    return _weight_spaces(g.p, np.array(basis_root_weights(g)))
 
 
 def superalgebra_to_json(g: Superalgebra) -> dict:

@@ -81,6 +81,12 @@ class TestScanCommand:
                 else:
                     assert int(c_val) == j_val
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, runner, jobs):
+        result = runner.invoke(main, ["scan", "--p", "3", "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+
     def test_parallel_output_is_byte_identical(self, runner):
         serial = runner.invoke(main, ["scan", "--p", "3", "--out", "csv", "--jobs", "1"])
         parallel = runner.invoke(main, ["scan", "--p", "3", "--out", "csv", "--jobs", "2"])
@@ -99,6 +105,45 @@ class TestScanCommand:
         assert summary["disagreements"] == []
         assert summary["clause_overlaps"] == []
         assert sum(int(v) for v in summary["h1_counts"].values()) == 9
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "jobs,cells,cpus,expected",
+        [(8, 9, 4, 4), (8, 3, 4, 3), (2, 9, 4, 2), (1, 9, 4, 1), (4, 9, None, 1)],
+    )
+    def test_clamped_to_cells_and_cpus(self, monkeypatch, jobs, cells, cpus, expected):
+        from ptilde2 import cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._worker_count(jobs, cells) == expected
+
+
+class TestSolverFailureExit:
+    @pytest.fixture
+    def broken_containment(self, monkeypatch):
+        from ptilde2.linalg import Subspace
+
+        monkeypatch.setattr(Subspace, "is_subspace_of", lambda self, other: False)
+
+    def test_h1_exits_one_with_one_line(self, runner, broken_containment):
+        result = runner.invoke(main, ["h1", "--p", "3", "--a", "0", "--b", "1"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("internal solver failure: ")
+        assert "escaped the derivation space" in lines[0]
+
+    def test_scan_exits_one(self, runner, broken_containment):
+        result = runner.invoke(main, ["scan", "--p", "3"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("internal solver failure: ")
+
+    def test_check_reports_a_finding(self, runner, broken_containment):
+        result = runner.invoke(main, ["check", "--p", "3", "--suite", "lemmas"])
+        assert result.exit_code == 1
+        assert "solver failure at (0,0)" in result.output
 
 
 class TestCheckCommand:

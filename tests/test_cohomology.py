@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ptilde2.cohomology import (
     Cochain,
+    RouteDisagreement,
+    SolverFailure,
     analyze,
     cartan_values_annihilated,
     derivation_residual,
@@ -299,6 +301,27 @@ class TestH1:
         assert [c.values.tolist() for c in r1.representatives] == [
             c.values.tolist() for c in r2.representatives
         ]
+
+
+class TestSolverFailures:
+    def test_containment_failure_raises_solver_failure(self, g5, monkeypatch):
+        from ptilde2.linalg import Subspace
+
+        monkeypatch.setattr(Subspace, "is_subspace_of", lambda self, other: False)
+        with pytest.raises(SolverFailure, match="escaped the derivation space"):
+            h1(g5, build_kac_module(g5, 0, 3))
+
+    def test_route_disagreement_is_a_solver_failure(self):
+        assert issubclass(RouteDisagreement, SolverFailure)
+
+    def test_route_disagreement_survives_pickling(self):
+        import pickle
+
+        exc = RouteDisagreement(5, (0, 3), (0, 2), (0, 1))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is RouteDisagreement
+        assert str(back) == str(exc)
+        assert (back.p, back.weight, back.der_route, back.weight_route) == (5, (0, 3), (0, 2), (0, 1))
 
 
 class TestLemmaChecks:

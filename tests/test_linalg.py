@@ -162,6 +162,24 @@ class TestSubspaceArithmetic:
         ns = FpMatrix(5, [[1, 2]]).nullspace()
         assert ns.contains([3, 1])
 
+    def test_raw_constructor_rejects_non_canonical_basis(self):
+        # spans F_3^2, but contains() would judge [1, 0] outside it
+        with pytest.raises(ValueError):
+            Subspace(3, 2, [[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0], [0, 0]], [[2, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 0]]],
+    )
+    def test_raw_constructor_rejects_each_defect(self, rows):
+        with pytest.raises(ValueError):
+            Subspace(3, 2, rows)
+
+    def test_raw_constructor_accepts_canonical_basis(self):
+        s = Subspace(3, 3, [[1, 2, 0], [0, 0, 1]])
+        assert s == Subspace.from_spanning(3, 3, [[1, 2, 1], [0, 0, 2]])
+        assert Subspace(3, 2, []) == Subspace.zero(3, 2)
+
     def test_mismatched_ambient_raises(self):
         a = Subspace.zero(5, 3)
         b = Subspace.zero(5, 4)
