@@ -10,11 +10,16 @@ The identity is generated for all 64 ordered basis pairs (the redundancy is
 cheap and guards against sign slips), as sparse entries.  The system is graded
 by cochain weight: the coordinate phi(x_k)_r has weight wt(r) - root(k), and
 every equation of the pair (i, j) at module row r has weight
-wt(r) - root(i) - root(j), all mod p.  Derivation spaces are therefore solved
-one weight block at a time and merged; an entry that crosses weights raises.
-All subspaces live in the flattened coordinate space of cochain matrices,
-flat index (row r, column j) -> r * dim(g) + j, so sums and membership tests
-compose across solver routes.
+wt(r) - root(i) - root(j), all mod p; an entry that crosses weights raises.
+All weight blocks of one solve are stacked into one zero-padded array, each
+with its columns reversed, and row-reduced together by one batched
+elimination; the canonical block kernels are read straight off the reduced
+stack and merged by leading column.  All subspaces live in the flattened
+coordinate space of cochain matrices, flat index (row r, column j) ->
+r * dim(g) + j, so sums and membership tests compose across solver routes.
+Membership is the matrix residual w - w[P] B of a canonical basis B with
+pivot columns P, and the coset representatives of Der/Ider are the pivot
+columns of one RREF of the transposed residuals of Der modulo Ider.
 
 h1 always runs two independent routes: dim Der - dim Ider, and
 dim WDer - dim(WDer meet Ider) over the weight-0 block, computed
@@ -29,11 +34,19 @@ oracle of record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .linalg import FpMatrix, Subspace, check_odd_prime
-from .modules import GModule, basis_module_weights, build_kac_module, residue
+from .linalg import (
+    FpMatrix,
+    Subspace,
+    _reversed_kernels,
+    _rref_batched,
+    _rref_in_place,
+    check_odd_prime,
+)
+from .modules import GModule, _kac_index, basis_module_weights, build_kac_module, residue
 from .superalgebra import (
     P2_LABELS,
     Superalgebra,
@@ -253,9 +266,13 @@ def _solve_constrained(
 ) -> CochainSpace:
     """Kernel of the derivation system restricted to the given free coordinates.
 
-    The system never exists as one matrix: its entries are grouped by weight,
-    each weight block is solved on its own, and the block kernels, which have
-    disjoint supports, are merged into the canonical basis by pivot column.
+    The system never exists as one matrix.  Its entries are grouped by weight
+    into one zero-padded (blocks, rows, cols) stack, each block with its
+    columns in descending flat order, and the whole stack is row-reduced by a
+    single batched elimination.  The reversed columns let each block's
+    canonical kernel be read straight off its reduced form; the block kernels
+    have disjoint supports, so sorting their rows by leading column gives the
+    canonical basis.
     """
     p = g.p
     n = m.dim * g.dim
@@ -270,29 +287,34 @@ def _solve_constrained(
     keep = free[cols]
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
-    col_wt = coord_wt[columns]
-    by_wt = np.argsort(col_wt, kind="stable")
-    weights, starts = np.unique(col_wt[by_wt], return_index=True)
-    blocks = np.split(columns[by_wt], starts[1:])  # each block's columns ascend
-    order = np.argsort(coord_wt[cols], kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    cuts = np.searchsorted(coord_wt[cols], weights)[1:]
+    # blocks by weight; inside a block, position q holds the q-th largest column
+    order = np.lexsort((-columns, coord_wt[columns]))
+    _, starts, widths = np.unique(coord_wt[columns[order]], return_index=True, return_counts=True)
+    n_blocks = widths.size
+    col_block = np.repeat(np.arange(n_blocks), widths)
+    col_pos = np.arange(columns.size) - starts[col_block]
+    block_cols = np.full((n_blocks, widths.max()), n)
+    block_cols[col_block, col_pos] = columns[order]
+    block_of = np.empty(n, dtype=np.int64)
+    pos_of = np.empty(n, dtype=np.int64)
+    block_of[columns[order]] = col_block
+    pos_of[columns[order]] = col_pos
 
-    local = np.empty(n, dtype=np.int64)
-    kernels = []
-    for bcols, brows, bc, bv in zip(
-        blocks, np.split(rows, cuts), np.split(cols, cuts), np.split(vals, cuts)
-    ):
-        local[bcols] = np.arange(bcols.size)
-        urows, ridx = np.unique(brows, return_inverse=True)
-        block = np.zeros((urows.size, bcols.size), dtype=np.int64)
-        np.add.at(block, (ridx, local[bc]), bv)
-        kernel = FpMatrix(p, block).nullspace()
-        lifted = np.zeros((kernel.dim, n), dtype=np.int64)
-        lifted[:, bcols] = kernel.basis
-        kernels.append(lifted)
-    merged = np.concatenate(kernels)
-    merged = merged[np.argsort(np.argmax(merged != 0, axis=1))]
+    # rows numbered within their block, through one sort of (block, row) keys
+    n_rows = g.dim * g.dim * m.dim
+    keys, entry_key = np.unique(block_of[cols] * n_rows + rows, return_inverse=True)
+    key_block = keys // n_rows
+    heights = np.bincount(key_block, minlength=n_blocks)
+    key_row = np.arange(keys.size) - (np.cumsum(heights) - heights)[key_block]
+    stack = np.zeros((n_blocks, heights.max(initial=0), widths.max()), dtype=np.int64)
+    np.add.at(stack, (key_block[entry_key], key_row[entry_key], pos_of[cols]), vals)
+    stack %= p
+
+    pivot = _rref_batched(stack, p)
+    free_b, free_c, vectors = _reversed_kernels(stack, pivot, widths, p)
+    merged = np.zeros((free_b.size, n + 1), dtype=np.int64)
+    merged[np.arange(free_b.size)[:, None], block_cols[free_b]] = vectors
+    merged = merged[np.argsort(block_cols[free_b, free_c]), :n]
     space = Subspace(p, n, merged)
     basis = tuple(Cochain(p, parity, row.reshape(m.dim, g.dim)) for row in space.basis)
     return CochainSpace(parity=parity, basis=basis, space=space)
@@ -334,19 +356,15 @@ def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
 def inner_space(g: Superalgebra, m: GModule) -> tuple[Subspace, Subspace]:
     """(even, odd) spans of the inner derivations of all module basis vectors."""
     n = m.dim * g.dim
-    rows = {0: [], 1: []}
-    for r in range(m.dim):
-        v = np.zeros(m.dim, dtype=np.int64)
-        v[r] = 1
-        d = inner_derivation(g, m, v)
-        rows[m.parity[r]].append(d.flat())
-    out = []
-    for parity in (0, 1):
-        if rows[parity]:
-            out.append(Subspace.from_spanning(m.p, n, np.stack(rows[parity])))
-        else:
-            out.append(Subspace.zero(m.p, n))
-    return out[0], out[1]
+    mpar = np.asarray(m.parity)
+    # row r, the inner derivation of basis vector r: entry (s, j) is
+    # sign(|x_j| |r|) * actions[j][s, r], at flat position s * dim g + j
+    signs = np.where(np.outer(mpar, g.parity) % 2, -1, 1)  # [r, j]
+    rows = signs[:, None, :] * np.stack(m.actions).transpose(2, 1, 0)  # [r, s, j]
+    rows = rows.reshape(m.dim, n)
+    return tuple(
+        Subspace.from_spanning(m.p, n, rows[mpar == parity]) for parity in (0, 1)
+    )
 
 
 def module_invariants(m: GModule) -> Subspace:
@@ -397,12 +415,7 @@ def outer_cocycles(p: int, a, b) -> list[Cochain]:
     t = residue(b - a, p)
     n = 2 * (t + 1)
     idx = {lab: i for i, lab in enumerate(P2_LABELS)}
-
-    def even_row(k: int) -> int:
-        return k
-
-    def odd_row(k: int) -> int:
-        return t + 1 + k
+    even_row, odd_row = (partial(_kac_index, t, parity) for parity in (0, 1))
 
     def blank() -> np.ndarray:
         return np.zeros((n, 8), dtype=np.int64)
@@ -453,14 +466,15 @@ class CohomologyReport:
 
 
 def _coset_representatives(ider: Subspace, der: CochainSpace) -> list[Cochain]:
-    """Greedy completion of the inner span to the derivation span, canonical order."""
-    span = ider
-    reps = []
-    for cochain, row in zip(der.basis, der.space.basis):
-        if not span.contains(row):
-            reps.append(cochain)
-            span = span + Subspace.from_spanning(span.p, span.ambient_dim, row[None, :])
-    return reps
+    """Greedy completion of the inner span to the derivation span, canonical order.
+
+    Der basis row k is taken when it is not in the span of Ider and the rows
+    before it, i.e. when its residual modulo Ider is independent of the
+    earlier residuals: exactly the pivot columns of the transposed residuals.
+    """
+    residual = ider._residual(der.space.basis)
+    picks = _rref_in_place(residual.T[residual.any(axis=0)].copy(), ider.p)
+    return [der.basis[k] for k in picks]
 
 
 def h1(g: Superalgebra, m: GModule) -> CohomologyReport:

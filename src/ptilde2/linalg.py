@@ -5,6 +5,20 @@ pure integer arithmetic followed by reduction mod p (no floating point).
 Echelon forms use deterministic pivoting (first nonzero entry in the smallest
 column, smallest row index), so all bases, kernels and coset representatives
 are reproducible bit for bit across runs and across worker processes.
+
+Kernels come from one elimination: the matrix is row-reduced with its columns
+in reverse order, and each free column f then carries the kernel vector with
+1 at f and minus the reduced entries at the pivot columns, all of which lie
+right of f in the original order.  Those vectors are already the canonical
+reduced basis.  _rref_batched applies the same elimination, column by column,
+to a whole stack of small zero-padded matrices at once, which is how the
+cohomology solver reduces all its weight blocks together.  Membership is a
+matrix product: w lies in the span of a canonical basis B with pivot columns
+P exactly when w - w[P] B = 0.
+
+The modulus is bounded by MAX_MODULUS = 2^16, so a product of two residues is
+below 2^32 and any sum of fewer than 2^31 such products stays below 2^63:
+every int64 matrix product and accumulation here is exact.
 """
 
 from __future__ import annotations
@@ -12,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["check_odd_prime", "modular_inverse", "FpMatrix", "Subspace"]
+
+MAX_MODULUS = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -26,10 +42,10 @@ def _is_prime(n: int) -> bool:
 
 
 def check_odd_prime(p) -> int:
-    """Return p as an int after verifying it is an odd prime (trial division)."""
+    """Return p as an int after verifying it is an odd prime below MAX_MODULUS."""
     q = int(p)
-    if q != p or q < 3 or not _is_prime(q):
-        raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
+    if q != p or q < 3 or q >= MAX_MODULUS or not _is_prime(q):
+        raise ValueError(f"modulus must be an odd prime with 3 <= p < {MAX_MODULUS}, got {p!r}")
     return q
 
 
@@ -78,6 +94,62 @@ def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _rref_batched(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce every slice a[b] of a (blocks, rows, cols) stack to RREF in place.
+
+    Each slice gets exactly the pivot rule of _rref_in_place; one loop over
+    the columns serves all slices.  Returns the (blocks, cols) pivot mask.
+    """
+    nb, m, n = a.shape
+    pivot = np.zeros((nb, n), dtype=bool)
+    rank = np.zeros(nb, dtype=np.int64)
+    row_ids = np.arange(m)
+    for c in range(n):
+        candidate = (a[:, :, c] != 0) & (row_ids >= rank[:, None])
+        live = np.nonzero(candidate.any(axis=1))[0]
+        if live.size == 0:
+            continue
+        k = np.arange(live.size)
+        src = candidate[live].argmax(axis=1)
+        dst = rank[live]
+        sub = a[live]
+        top = sub[k, src]
+        sub[k, src] = sub[k, dst]
+        inverse = np.array([modular_inverse(v, p) for v in top[:, c].tolist()], dtype=np.int64)
+        top = top * inverse[:, None] % p
+        sub[k, dst] = top
+        factor = sub[:, :, c].copy()
+        factor[k, dst] = 0
+        sub -= factor[:, :, None] * top[:, None, :]
+        a[live] = sub % p
+        pivot[live, c] = True
+        rank[live] += 1
+    return pivot
+
+
+def _reversed_kernels(
+    a: np.ndarray, pivot: np.ndarray, width: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel vectors of reduced slices whose columns are in reverse order.
+
+    a is a (blocks, rows, cols) stack in RREF with pivot mask pivot; slice b
+    uses its first width[b] columns.  Returns (block, free column, vectors):
+    one vector per free column f, with 1 at f and -a[b, r, f] at the pivot
+    column of each row r, in the slice's reversed coordinates.
+    """
+    nb, m, n = a.shape
+    free_b, free_c = np.nonzero(~pivot & (np.arange(n) < width[:, None]))
+    piv_b, piv_c = np.nonzero(pivot)
+    # column of each pivot row; rows without a pivot point past the end
+    row_pivot = np.full((nb, m), n)
+    row_pivot[piv_b, np.cumsum(pivot, axis=1)[piv_b, piv_c] - 1] = piv_c
+    k = np.arange(free_b.size)
+    out = np.zeros((free_b.size, n + 1), dtype=np.int64)
+    out[k[:, None], row_pivot[free_b]] = -a[free_b, :, free_c] % p
+    out[k, free_c] = 1
+    return free_b, free_c, out[:, :n]
 
 
 class FpMatrix:
@@ -150,18 +222,13 @@ class FpMatrix:
 
     def nullspace(self) -> "Subspace":
         """Canonical basis of the right kernel {x : self @ x = 0}."""
-        a = self.data.copy()
-        pivots = _rref_in_place(a, self.p)
         n = self.cols
-        free = [c for c in range(n) if c not in set(pivots)]
-        if not free:
-            return Subspace.zero(self.p, n)
-        basis = np.zeros((len(free), n), dtype=np.int64)
-        for row, f in enumerate(free):
-            basis[row, f] = 1
-            for r, c in enumerate(pivots):
-                basis[row, c] = (-a[r, f]) % self.p
-        return Subspace.from_spanning(self.p, n, basis)
+        a = self.data[:, ::-1].copy()
+        pivot = np.zeros((1, n), dtype=bool)
+        pivot[0, _rref_in_place(a, self.p)] = True
+        _, _, vectors = _reversed_kernels(a[None], pivot, np.array([n]), self.p)
+        # back to the original column order; leading columns then ascend
+        return Subspace(self.p, n, vectors[::-1, ::-1])
 
     def solve(self, rhs) -> np.ndarray | None:
         """One solution of self @ x = rhs (free variables 0), or None if inconsistent."""
@@ -245,16 +312,20 @@ class Subspace:
                 f"F_{other.p}^{other.ambient_dim}"
             )
 
+    def _residual(self, rows: np.ndarray) -> np.ndarray:
+        """rows - rows[:, P] @ basis mod p, P the pivot columns (rows reduced mod p).
+
+        Row i of the result is zero exactly when rows[i] lies in the span.
+        """
+        pivots = (self.basis != 0).argmax(axis=1) if self.dim else np.zeros(0, dtype=np.int64)
+        return (rows - rows[:, pivots] @ self.basis) % self.p
+
     def contains(self, v) -> bool:
-        """Membership decided by elimination against the echelon basis."""
+        """Membership decided by the residual against the echelon basis."""
         w = np.mod(np.asarray(v, dtype=np.int64).reshape(-1), self.p)
         if w.size != self.ambient_dim:
             raise ValueError(f"vector length {w.size} != ambient {self.ambient_dim}")
-        for row in self.basis:
-            c = int(np.nonzero(row)[0][0])  # pivot column, entry 1
-            if w[c]:
-                w = (w - w[c] * row) % self.p
-        return not np.any(w)
+        return not self._residual(w[None, :]).any()
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -272,4 +343,4 @@ class Subspace:
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(other.contains(row) for row in self.basis)
+        return not other._residual(self.basis).any()

@@ -14,6 +14,7 @@ with the bracket expanded through the structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,16 +84,40 @@ class GModule:
         return (self.actions[i] @ np.asarray(v, dtype=np.int64)) % self.p
 
     def representation_violations(self) -> list[tuple[int, int]]:
-        """Ordered algebra basis pairs where the representation law fails."""
+        """Ordered algebra basis pairs where the representation law fails.
+
+        Every term of action([x_i, x_j]) - x_i x_j + sign x_j x_i is formed
+        from the nonzero entries alone, as an (i, j, row, col, value) entry;
+        the entries are summed by key with exact integer reductions.
+        """
         g = self.algebra
-        a = np.stack(self.actions)
-        par = np.asarray(g.parity, dtype=np.int64)
-        sign = np.where((par[:, None] * par[None, :]) % 2 == 1, -1, 1).astype(np.int64)
-        lhs = np.einsum("ijk,kab->ijab", g.structure, a) % self.p
-        prod = np.einsum("iab,jbc->ijac", a, a)
-        rhs = (prod - sign[:, :, None, None] * prod.transpose(1, 0, 2, 3)) % self.p
-        bad = np.nonzero((lhs - rhs) % self.p)
-        return sorted({(int(i), int(j)) for i, j in zip(bad[0], bad[1])})
+        dg, dm = g.dim, self.dim
+        acts = np.stack(self.actions)
+        ax, ar, ac = np.nonzero(acts)
+        av = acts[ax, ar, ac]
+        # action([x_i, x_j]) = sum_k c_ijk action(x_k): constant c_ijk meets entries of x_k
+        si, sj, sk = np.nonzero(g.structure)
+        s, e = _join(sk, ax)
+        # (x_u x_w)[row, col] from entries (u, row, mid) and (w, mid, col) enters
+        # the pair (u, w) with sign -1 and the pair (w, u) with sign (-1)^{|x_u||x_w|}
+        u, w = _join(ac, ar)
+        prod = av[u] * av[w]
+        par = np.asarray(g.parity)
+        swap = np.where(par[ax[u]] * par[ax[w]] % 2, -1, 1)
+        first = np.concatenate([si[s], ax[u], ax[w]])
+        second = np.concatenate([sj[s], ax[w], ax[u]])
+        row = np.concatenate([ar[e], ar[u], ar[u]])
+        col = np.concatenate([ac[e], ac[w], ac[w]])
+        val = np.concatenate([g.structure[si, sj, sk][s] * av[e], -prod, swap * prod])
+        if val.size == 0:
+            return []
+        keys = ((first * dg + second) * dm + row) * dm + col
+        order = np.argsort(keys, kind="stable")
+        keys, val = keys[order], val[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        sums = np.add.reduceat(val, starts) % self.p
+        pairs = np.unique(keys[starts][sums != 0] // (dm * dm))
+        return [(int(k // dg), int(k % dg)) for k in pairs]
 
     def parity_violations(self) -> list[tuple[int, int, int]]:
         """Entries (i, r, c) where action i does not respect the parity split."""
@@ -120,10 +145,25 @@ class KacModule(GModule):
     top_index: int = 0
 
     def even_index(self, k: int) -> int:
-        return k
+        return _kac_index(self.top_index, 0, k)
 
     def odd_index(self, k: int) -> int:
-        return self.top_index + 1 + k
+        return _kac_index(self.top_index, 1, k)
+
+
+def _kac_index(t: int, parity: int, k: int) -> int:
+    """Position of 1*v_k (parity 0) or g*v_k (parity 1) in a Kac basis of top index t."""
+    return parity * (t + 1) + k
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (l, r) with left[l] == right[r], grouped by l."""
+    order = np.argsort(right, kind="stable")
+    lo = np.searchsorted(right[order], left, side="left")
+    counts = np.searchsorted(right[order], left, side="right") - lo
+    li = np.repeat(np.arange(left.size), counts)
+    offset = np.arange(li.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return li, order[lo[li] + offset]
 
 
 def _interval(lo: int, hi: int) -> range:
@@ -247,12 +287,7 @@ def build_kac_module(g: Superalgebra, a, b) -> KacModule:
     a, b = residue(a, p), residue(b, p)
     t = residue(b - a, p)
     n = 2 * (t + 1)
-
-    def ev(k: int) -> int:
-        return k
-
-    def od(k: int) -> int:
-        return t + 1 + k
+    ev, od = (partial(_kac_index, t, parity) for parity in (0, 1))
 
     def blank() -> np.ndarray:
         return np.zeros((n, n), dtype=np.int64)
@@ -366,14 +401,14 @@ def case_table_weight_space(p: int, a, b, w: Weight) -> Subspace:
         k = residue(b + off, p)
         if k <= t:
             row = np.zeros(n, dtype=np.int64)
-            row[k] = 1
+            row[_kac_index(t, 0, k)] = 1
             rows.append(row)
     off, cond, ab = odd_branch
     if s == residue(ab, p) and _condition_holds(p, x, cond):
         k = residue(b + off, p)
         if k <= t:
             row = np.zeros(n, dtype=np.int64)
-            row[t + 1 + k] = 1
+            row[_kac_index(t, 1, k)] = 1
             rows.append(row)
     if not rows:
         return Subspace.zero(p, n)

@@ -35,6 +35,11 @@ class TestH1Command:
         result = runner.invoke(main, ["h1", "--p", "4", "--a", "0", "--b", "0"])
         assert result.exit_code == 2
 
+    def test_modulus_past_the_bound_is_usage_error(self, runner):
+        result = runner.invoke(main, ["h1", "--p", "65537", "--a", "0", "--b", "0"])
+        assert result.exit_code == 2
+        assert "p < 65536" in result.output
+
     def test_even_regime_report(self, runner):
         result = runner.invoke(main, ["h1", "--p", "5", "--a", "2", "--b", "4", "--format", "json"])
         data = json.loads(result.output)

@@ -18,6 +18,14 @@ class TestPrimeGuard:
         with pytest.raises(ValueError):
             check_odd_prime(p)
 
+    def test_largest_prime_below_the_bound_is_accepted(self):
+        assert check_odd_prime(65521) == 65521
+
+    @pytest.mark.parametrize("p", [65537, 2**31 - 1])
+    def test_primes_past_the_int64_bound_are_rejected(self, p):
+        with pytest.raises(ValueError, match="p < 65536"):
+            check_odd_prime(p)
+
 
 class TestModularInverse:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

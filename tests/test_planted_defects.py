@@ -1,0 +1,86 @@
+"""Planted defects in the module and cohomology layers, each of which a check
+must catch.  The defects are patched in with monkeypatch; the source stays
+untouched.
+"""
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from ptilde2 import cohomology, modules
+from ptilde2.cli import main
+from ptilde2.cohomology import _coherent_columns, _derivation_system, derivation_space, h1
+from ptilde2.linalg import FpMatrix, Subspace
+from ptilde2.modules import KacModule, RepresentationError, build_kac_module
+from ptilde2.superalgebra import build_p_tilde_2
+
+
+@pytest.fixture(scope="module")
+def g5():
+    return build_p_tilde_2(5)
+
+
+def flipped_kac(label, row, col, weight=(0, 3)):
+    """A KacModule class that negates one action entry of K(weight) before validation."""
+
+    class Flipped(KacModule):
+        def __post_init__(self):
+            super().__post_init__()
+            if self.highest_weight != weight:
+                return
+            i = self.algebra.index(label)
+            bent = self.actions[i].copy()
+            assert bent[row, col], "the planted entry must be nonzero"
+            bent[row, col] = -bent[row, col] % self.p
+            self.actions[i] = bent
+
+    return Flipped
+
+
+@pytest.mark.parametrize(
+    "label, row, col",
+    [("alpha", 0, 1), ("beta", 5, 4), ("gamma", 6, 2), ("e13", 1, 6), ("e14+e23", 0, 4)],
+)
+def test_sign_flip_in_a_kac_action_fails_validation(monkeypatch, g5, label, row, col):
+    monkeypatch.setattr(modules, "KacModule", flipped_kac(label, row, col))
+    with pytest.raises(RepresentationError, match="representation law"):
+        build_kac_module(g5, 0, 3)
+
+
+def test_sign_flip_is_a_module_suite_finding(monkeypatch):
+    monkeypatch.setattr(modules, "KacModule", flipped_kac("alpha", 0, 1))
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "module"])
+    assert result.exit_code == 1
+    assert "FAIL (1 findings)" in result.output
+    assert "K(0,3) failed: representation law fails" in result.output
+
+
+def test_dropped_pair_breaks_the_blocked_solver(monkeypatch, g5):
+    # only the (gamma, gamma) pair pins this odd derivation down at K(1, 1)
+    km = build_kac_module(g5, 1, 1)
+    gamma = g5.index("gamma")
+    entries = cohomology._system_entries
+
+    def dropped(g, m, parity):
+        rows, cols, vals = entries(g, m, parity)
+        keep = rows // m.dim != gamma * g.dim + gamma
+        return rows[keep], cols[keep], vals[keep]
+
+    monkeypatch.setattr(cohomology, "_system_entries", dropped)
+    columns = _coherent_columns(g5, km, 1)
+    n = km.dim * g5.dim
+    dense = FpMatrix(5, _derivation_system(g5, km, 1)[:, columns]).nullspace()
+    reference = np.zeros((dense.dim, n), dtype=np.int64)
+    reference[:, columns] = dense.basis
+    assert derivation_space(g5, km, 1).space != Subspace(5, n, reference)
+    # the closed form disagrees with the inflated H1
+    assert not h1(g5, km).agrees
+
+
+def test_wrong_case_table_entry_fails_the_weights_suite(monkeypatch):
+    even, odd = modules._CASE_TABLE[(1, 1)]
+    wrong_even = (even[0] + 1,) + even[1:]
+    monkeypatch.setitem(modules._CASE_TABLE, (1, 1), (wrong_even, odd))
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "weights"])
+    assert result.exit_code == 1
+    assert "case-table mismatch" in result.output
