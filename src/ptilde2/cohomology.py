@@ -11,30 +11,35 @@ cheap and guards against sign slips), as sparse entries.  The system is graded
 by cochain weight: the coordinate phi(x_k)_r has weight wt(r) - root(k), and
 every equation of the pair (i, j) at module row r has weight
 wt(r) - root(i) - root(j), all mod p; an entry that crosses weights raises.
-All weight blocks of one solve are stacked into one zero-padded array, each
-with its columns reversed, and row-reduced together by one batched
-elimination; the canonical block kernels are read straight off the reduced
-stack and merged by leading column.  All subspaces live in the flattened
-coordinate space of cochain matrices, flat index (row r, column j) ->
-r * dim(g) + j, so sums and membership tests compose across solver routes.
-Membership is the matrix residual w - w[P] B of a canonical basis B with
-pivot columns P, and the coset representatives of Der/Ider are the pivot
-columns of one RREF of the transposed residuals of Der modulo Ider.
+Each parity's system is assembled and weight-checked once per cell, and Der
+and WDer are two column sets over it: the parity-coherent coordinates, and
+those of them whose weight is 0.  All weight blocks of one solve are stacked
+into one zero-padded array, each with its columns reversed, and row-reduced
+together by one batched elimination; the canonical block kernels are read
+straight off the reduced stack and merged by leading column.  All subspaces
+live in the flattened coordinate space of cochain matrices, flat index
+(row r, column j) -> r * dim(g) + j, so sums and membership tests compose
+across solver routes.  Membership is the matrix residual w - w[P] B of a
+canonical basis B with pivot columns P, and the coset representatives of
+Der/Ider are the pivot columns of one RREF of the transposed residuals of
+Der modulo Ider.
 
 h1 always runs two independent routes: dim Der - dim Ider, and
 dim WDer - dim(WDer meet Ider) over the weight-0 block, computed
-dimension-only as dim(WDer + Ider) - dim Ider.  Their agreement is the
-paper's lemma WDer + Ider = Der, i.e. Der_nu = Ider_nu for every weight
-nu != 0; any disagreement, like any other broken solver invariant, raises
-SolverFailure.  The closed-form predictor is a third value; predictor
-disagreement is reported, not raised, since the validated solver is the
-oracle of record.
+dimension-only as dim(WDer + Ider) - dim Ider.  WDer has its own solve over
+the shared system, not a slice of Der's weight-0 block.  With both spaces
+checked to lie in Der, the routes agree exactly when WDer + Ider = Der, the
+paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0; any
+disagreement, like any other broken solver invariant, raises SolverFailure.
+The closed-form predictor is a third value; predictor disagreement is
+reported, not raised, since the validated solver is the oracle of record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +51,8 @@ from .linalg import (
     _rref_in_place,
     check_odd_prime,
 )
-from .modules import GModule, _kac_index, basis_module_weights, build_kac_module, residue
-from .superalgebra import (
-    P2_LABELS,
-    Superalgebra,
-    _diagonal_weights,
-    basis_root_weights,
-    build_p_tilde_2,
-)
+from .modules import GModule, _kac_index, build_kac_module, residue
+from .superalgebra import P2_LABELS, Superalgebra, _diagonal_weights, build_p_tilde_2
 
 __all__ = [
     "Cochain",
@@ -166,47 +165,14 @@ def _coherent_columns(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
     return np.nonzero(mask.reshape(-1))[0]
 
 
-def _weight_matched_columns(g: Superalgebra, m: GModule) -> np.ndarray:
-    roots = np.array(basis_root_weights(g))
-    wts = np.array(basis_module_weights(m))
-    mask = np.all(wts[:, None, :] == roots[None, :, :], axis=2)
-    return np.nonzero(mask.reshape(-1))[0]
-
-
-def _derivation_system(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
-    """Dense coefficient matrix of the identity over all 64 ordered pairs.
-
-    Reference only: the solver assembles the same system weight block by
-    weight block in _system_entries / _solve_constrained, and the tests
-    compare the two.
-    """
-    dm, dg, p = m.dim, g.dim, g.p
-    acts = np.stack(m.actions)
-    c = g.structure
-    eye = np.eye(dm, dtype=np.int64)
-    rows = np.zeros((dg * dg * dm, dm * dg), dtype=np.int64)
-    blk = 0
-    for i in range(dg):
-        s1 = _sign(parity * g.parity[i])
-        for j in range(dg):
-            s2 = _sign(g.parity[j] * (parity + g.parity[i]))
-            block = rows[blk * dm : (blk + 1) * dm]
-            for k in np.nonzero(c[i, j])[0]:
-                block[:, k::dg] += int(c[i, j, k]) * eye
-            block[:, j::dg] -= s1 * acts[i]
-            block[:, i::dg] += s2 * acts[j]
-            blk += 1
-    return np.mod(rows, p)
-
-
 def _system_entries(
     g: Superalgebra, m: GModule, parity: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 64-pair derivation system as sparse (row, column, value) entries.
 
     Row (i * dim g + j) * dim M + r is module row r of the identity on the
-    pair (i, j), and column r * dim g + k is the flat coordinate phi(x_k)_r,
-    exactly as in _derivation_system.  Entries at the same position add.
+    pair (i, j), and column r * dim g + k is the flat coordinate phi(x_k)_r.
+    Entries at the same position add.
     """
     dm, dg = m.dim, g.dim
     par = np.asarray(g.parity)
@@ -238,17 +204,19 @@ def _system_entries(
     )
 
 
-def _weight_codes(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray]:
+def _weight_codes(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray, bool]:
     """Weight of each system row and of each flat coordinate, as integer codes.
 
     Coordinate (r, k) has weight wt(r) - root(k); row r of the pair (i, j) has
-    weight wt(r) - root(i) - root(j).  If the Cartan action is not diagonal
-    every weight is 0, so the whole system is a single block.
+    weight wt(r) - root(i) - root(j).  The third value says whether the Cartan
+    action is diagonal; if it is not, every weight is 0, so the whole system
+    is a single block.
     """
     p = g.p
     roots = _diagonal_weights(g, g.structure)
     wts = _diagonal_weights(g, m.actions)
-    if roots is None or wts is None:
+    diagonal = roots is not None and wts is not None
+    if not diagonal:
         roots = np.zeros((g.dim, 2), dtype=np.int64)
         wts = np.zeros((m.dim, 2), dtype=np.int64)
 
@@ -258,12 +226,41 @@ def _weight_codes(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray]:
 
     coords = wts[:, None, :] - roots[None, :, :]  # [r, k]
     rows = wts[None, None] - roots[:, None, None] - roots[None, :, None]  # [i, j, r]
-    return code(rows), code(coords)
+    return code(rows), code(coords), diagonal
 
 
-def _solve_constrained(
-    g: Superalgebra, m: GModule, parity: int, columns: np.ndarray
-) -> CochainSpace:
+class _System(NamedTuple):
+    """One parity of the derivation system of (g, M), shared by every solve over it."""
+
+    g: Superalgebra
+    m: GModule
+    parity: int
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]  # checked to be weight-graded
+    coord_wt: np.ndarray  # weight code of each flat coordinate
+    diagonal: bool  # whether the Cartan action is diagonal
+    coherent: np.ndarray  # the parity-coherent coordinates: Der's free columns
+
+
+def _graded_system(
+    g: Superalgebra, m: GModule, parity: int, codes: tuple[np.ndarray, np.ndarray, bool]
+) -> _System:
+    """Assemble the system once, given _weight_codes(g, m), and check its grading."""
+    row_wt, coord_wt, diagonal = codes
+    rows, cols, vals = _system_entries(g, m, parity)
+    if np.any(row_wt[rows] != coord_wt[cols]):
+        raise ValueError("the derivation system mixes weights: the module is not weight-graded")
+    coherent = _coherent_columns(g, m, parity)
+    return _System(g, m, parity, (rows, cols, vals), coord_wt, diagonal, coherent)
+
+
+def _weight_zero_columns(system: _System) -> np.ndarray:
+    """WDer's free columns: the coherent coordinates of weight wt(r) - root(k) = 0."""
+    if not system.diagonal:
+        raise ValueError("weight-derivations need a Cartan action diagonal on both bases")
+    return system.coherent[system.coord_wt[system.coherent] == 0]
+
+
+def _solve_constrained(system: _System, columns: np.ndarray) -> CochainSpace:
     """Kernel of the derivation system restricted to the given free coordinates.
 
     The system never exists as one matrix.  Its entries are grouped by weight
@@ -274,14 +271,12 @@ def _solve_constrained(
     have disjoint supports, so sorting their rows by leading column gives the
     canonical basis.
     """
+    g, m, parity, coord_wt = system.g, system.m, system.parity, system.coord_wt
     p = g.p
     n = m.dim * g.dim
     if columns.size == 0:
         return CochainSpace(parity=parity, basis=(), space=Subspace.zero(p, n))
-    rows, cols, vals = _system_entries(g, m, parity)
-    row_wt, coord_wt = _weight_codes(g, m)
-    if np.any(row_wt[rows] != coord_wt[cols]):
-        raise ValueError("the derivation system mixes weights: the module is not weight-graded")
+    rows, cols, vals = system.entries
     free = np.zeros(n, dtype=bool)
     free[columns] = True
     keep = free[cols]
@@ -322,7 +317,8 @@ def _solve_constrained(
 
 def derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
     """Canonical basis of the parity part of Der(g, M)."""
-    return _solve_constrained(g, m, parity, _coherent_columns(g, m, parity))
+    system = _graded_system(g, m, parity, _weight_codes(g, m))
+    return _solve_constrained(system, system.coherent)
 
 
 def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
@@ -330,12 +326,10 @@ def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> Cochain
 
     Implemented as the derivation system with every coordinate that leaves its
     target weight space pinned to zero, i.e. the free coordinates are those
-    both parity-coherent and weight-matched.
+    both parity-coherent and of weight 0.
     """
-    cols = np.intersect1d(
-        _coherent_columns(g, m, parity), _weight_matched_columns(g, m)
-    )
-    return _solve_constrained(g, m, parity, cols)
+    system = _graded_system(g, m, parity, _weight_codes(g, m))
+    return _solve_constrained(system, _weight_zero_columns(system))
 
 
 def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
@@ -477,20 +471,23 @@ def _coset_representatives(ider: Subspace, der: CochainSpace) -> list[Cochain]:
     return [der.basis[k] for k in picks]
 
 
-def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
-    """Full H1 report with the dual-route consistency check.
+def _h1_with_spaces(g: Superalgebra, m: GModule):
+    """h1's report, with the WDer and Ider it was computed from: (report, wder, ider).
 
-    Raises RouteDisagreement if the weight-derivation route yields different
-    dimensions than Der/Ider (which would signal a solver bug, since every
-    derivation decomposes as a weight-derivation plus an inner one), and
-    SolverFailure if inner or weight-derivations escape the derivation space.
+    wder maps each parity to its CochainSpace and ider to its Subspace.
+    Each parity's system is assembled once; Der and WDer are two column sets
+    over it, each solved by its own _solve_constrained call, so the weight
+    route stays an independent solve rather than a slice of Der.
     """
     if m.highest_weight is None:
         raise ValueError("module must carry its highest weight")
-    der = {s: derivation_space(g, m, s) for s in (0, 1)}
-    wder = {s: weight_derivation_space(g, m, s) for s in (0, 1)}
-    ider_even, ider_odd = inner_space(g, m)
-    ider = {0: ider_even, 1: ider_odd}
+    codes = _weight_codes(g, m)
+    der, wder = {}, {}
+    for s in (0, 1):
+        system = _graded_system(g, m, s, codes)
+        der[s] = _solve_constrained(system, system.coherent)
+        wder[s] = _solve_constrained(system, _weight_zero_columns(system))
+    ider = dict(enumerate(inner_space(g, m)))
 
     for s in (0, 1):
         if not ider[s].is_subspace_of(der[s].space):
@@ -518,7 +515,7 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
     )
     a, b = m.highest_weight
     predicted = predict_h1(g.p, a, b)
-    return CohomologyReport(
+    report = CohomologyReport(
         p=g.p,
         weight=(a, b),
         dims=dims,
@@ -526,6 +523,18 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
         predicted=predicted,
         agrees=(dims.h1_total == predicted),
     )
+    return report, wder, ider
+
+
+def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
+    """Full H1 report with the dual-route consistency check.
+
+    Raises RouteDisagreement if the weight-derivation route yields different
+    dimensions than Der/Ider (which would signal a solver bug, since every
+    derivation decomposes as a weight-derivation plus an inner one), and
+    SolverFailure if inner or weight-derivations escape the derivation space.
+    """
+    return _h1_with_spaces(g, m)[0]
 
 
 def cartan_values_annihilated(

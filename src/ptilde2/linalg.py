@@ -188,28 +188,6 @@ class FpMatrix:
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.data.tolist()})"
 
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_mod(other)
-        return FpMatrix(self.p, self.data @ other.data)
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_mod(other)
-        return FpMatrix(self.p, self.data + other.data)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_mod(other)
-        return FpMatrix(self.p, self.data - other.data)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, -self.data)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.data * (int(c) % self.p))
-
-    def _check_mod(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
     def rref(self) -> tuple["FpMatrix", int]:
         """Reduced row-echelon form and rank, with deterministic pivoting."""
         a = self.data.copy()

@@ -81,16 +81,6 @@ class Superalgebra:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def bracket(self, x, y) -> np.ndarray:
-        """[x, y] in coordinates, for coordinate vectors x, y."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        return np.einsum("i,j,ijk->k", x, y, self.structure) % self.p
-
-    def ad(self, i: int) -> np.ndarray:
-        """Matrix of ad(x_i) on the chosen basis."""
-        return self.structure[i].T.copy()
-
 
 # Fixed basis order: negative grade, then grade zero, then positive grade.
 P2_LABELS = ("gamma", "h1", "h2", "alpha", "beta", "e13", "e24", "e14+e23")

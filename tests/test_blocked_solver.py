@@ -8,11 +8,10 @@ must agree bit for bit.
 import numpy as np
 import pytest
 
+from dense_reference import _derivation_system, _weight_matched_columns
 from ptilde2.cohomology import (
     _coherent_columns,
-    _derivation_system,
     _system_entries,
-    _weight_matched_columns,
     derivation_space,
     weight_derivation_space,
 )

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 
 from ptilde2 import cohomology, modules
 from ptilde2.cli import main
-from ptilde2.cohomology import _coherent_columns, _derivation_system, derivation_space, h1
+from dense_reference import _derivation_system
+from ptilde2.cohomology import _coherent_columns, derivation_space, h1
 from ptilde2.linalg import FpMatrix, Subspace
 from ptilde2.modules import KacModule, RepresentationError, build_kac_module
 from ptilde2.superalgebra import build_p_tilde_2
