@@ -32,6 +32,7 @@ from .cohomology import (
 )
 from .linalg import check_odd_prime
 from .modules import (
+    _matching_weight_space,
     basis_module_weights,
     build_kac_module,
     build_simple_module,
@@ -41,7 +42,6 @@ from .modules import (
     residue_comparisons,
     residue_shift_table,
     root_target_weights,
-    target_weight_space,
 )
 from .superalgebra import (
     Weight,
@@ -291,8 +291,10 @@ def suite_weights(p: int) -> list[str]:
                     failures.append(f"weight of even basis {k} wrong at ({a},{b})")
                 if wts[t + 1 + k] != (residue(a + k + 1, p), residue(b - k + 1, p)):
                     failures.append(f"weight of odd basis {k} wrong at ({a},{b})")
+            weights = np.array(wts)
             for w in root_target_weights(p):
-                if target_weight_space(km, w) != case_table_weight_space(p, a, b, w):
+                space = _matching_weight_space(p, weights, w)
+                if space != case_table_weight_space(p, a, b, w):
                     failures.append(f"case-table mismatch at (p={p}, a={a}, b={b}, w={w})")
     return failures
 

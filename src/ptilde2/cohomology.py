@@ -19,20 +19,25 @@ together by one batched elimination; the canonical block kernels are read
 straight off the reduced stack and merged by leading column.  All subspaces
 live in the flattened coordinate space of cochain matrices, flat index
 (row r, column j) -> r * dim(g) + j, so sums and membership tests compose
-across solver routes.  Membership is the matrix residual w - w[P] B of a
-canonical basis B with pivot columns P, and the coset representatives of
-Der/Ider are the pivot columns of one RREF of the transposed residuals of
-Der modulo Ider.
+across solver routes.  Membership is the residual w - w[P] B of a canonical
+basis B with pivot columns P, formed from the nonzeros of B, and the coset
+representatives of Der/Ider are the pivot columns of one RREF of the
+transposed residuals of the Der rows that do not lie in Ider.
 
 h1 always runs two independent routes: dim Der - dim Ider, and
 dim WDer - dim(WDer meet Ider) over the weight-0 block, computed
-dimension-only as dim(WDer + Ider) - dim Ider.  WDer has its own solve over
-the shared system, not a slice of Der's weight-0 block.  With both spaces
-checked to lie in Der, the routes agree exactly when WDer + Ider = Der, the
-paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0; any
-disagreement, like any other broken solver invariant, raises SolverFailure.
-The closed-form predictor is a third value; predictor disagreement is
-reported, not raised, since the validated solver is the oracle of record.
+dimension-only as dim(WDer + Ider_0) - dim Ider_0 on the weight-0
+coordinates.  Ider_0 is spanned by the canonical Ider rows supported there:
+the inner derivation of module vector r is homogeneous of weight wt(r), so
+the canonical Ider basis has one weight per row, and WDer, which lies in the
+weight-0 coordinates, can meet only the weight-0 rows.  WDer has its own
+solve over the shared system, not a slice of Der's weight-0 block.  With
+both spaces checked to lie in Der, the routes agree exactly when
+WDer + Ider = Der, the paper's lemma, i.e. Der_nu = Ider_nu for every
+weight nu != 0; any disagreement, like any other broken solver invariant,
+raises SolverFailure.  The closed-form predictor is a third value;
+predictor disagreement is reported, not raised, since the validated solver
+is the oracle of record.
 """
 
 from __future__ import annotations
@@ -465,10 +470,33 @@ def _coset_representatives(ider: Subspace, der: CochainSpace) -> list[Cochain]:
     Der basis row k is taken when it is not in the span of Ider and the rows
     before it, i.e. when its residual modulo Ider is independent of the
     earlier residuals: exactly the pivot columns of the transposed residuals.
+    A row with zero residual lies in Ider and is never taken, so only the
+    other rows are reduced.
     """
     residual = ider._residual(der.space.basis)
-    picks = _rref_in_place(residual.T[residual.any(axis=0)].copy(), ider.p)
-    return [der.basis[k] for k in picks]
+    live = np.flatnonzero(residual.any(axis=1))
+    outside = residual[live]
+    picks = _rref_in_place(outside.T[outside.any(axis=0)].copy(), ider.p)
+    return [der.basis[live[k]] for k in picks]
+
+
+def _weight_route(wder: Subspace, ider: Subspace, columns: np.ndarray) -> int:
+    """dim WDer - dim(WDer meet Ider), computed over the weight-0 coordinates only.
+
+    columns are WDer's free coordinates, the coherent ones of weight 0, so
+    WDer lies in their span.  Each canonical Ider row lies in one weight
+    block, so WDer meets Ider inside the span Ider_0 of the Ider rows
+    supported on those columns, and the count is dim(WDer + Ider_0) -
+    dim Ider_0 with both spaces restricted to the columns.
+    """
+    if columns.size == 0:
+        return wder.dim
+    outside = np.ones(ider.ambient_dim, dtype=bool)
+    outside[columns] = False
+    rows = ider.basis[~ider.basis[:, outside].any(axis=1)]
+    ider_0 = Subspace(ider.p, columns.size, rows[:, columns])
+    wder_0 = Subspace(wder.p, columns.size, wder.basis[:, columns])
+    return (wder_0 + ider_0).dim - ider_0.dim
 
 
 def _h1_with_spaces(g: Superalgebra, m: GModule):
@@ -482,11 +510,12 @@ def _h1_with_spaces(g: Superalgebra, m: GModule):
     if m.highest_weight is None:
         raise ValueError("module must carry its highest weight")
     codes = _weight_codes(g, m)
-    der, wder = {}, {}
+    der, wder, zero_cols = {}, {}, {}
     for s in (0, 1):
         system = _graded_system(g, m, s, codes)
+        zero_cols[s] = _weight_zero_columns(system)
         der[s] = _solve_constrained(system, system.coherent)
-        wder[s] = _solve_constrained(system, _weight_zero_columns(system))
+        wder[s] = _solve_constrained(system, zero_cols[s])
     ider = dict(enumerate(inner_space(g, m)))
 
     for s in (0, 1):
@@ -497,9 +526,7 @@ def _h1_with_spaces(g: Superalgebra, m: GModule):
 
     h1_even = der[0].dim - ider[0].dim
     h1_odd = der[1].dim - ider[1].dim
-    # dim WDer - dim(WDer meet Ider), without forming the intersection
-    w_even = (wder[0].space + ider[0]).dim - ider[0].dim
-    w_odd = (wder[1].space + ider[1]).dim - ider[1].dim
+    w_even, w_odd = (_weight_route(wder[s].space, ider[s], zero_cols[s]) for s in (0, 1))
     if (w_even, w_odd) != (h1_even, h1_odd):
         raise RouteDisagreement(g.p, m.highest_weight, (h1_even, h1_odd), (w_even, w_odd))
 

@@ -12,22 +12,33 @@ in reverse order, and each free column f then carries the kernel vector with
 right of f in the original order.  Those vectors are already the canonical
 reduced basis.  _rref_batched applies the same elimination, column by column,
 to a whole stack of small zero-padded matrices at once, which is how the
-cohomology solver reduces all its weight blocks together.  Membership is a
-matrix product: w lies in the span of a canonical basis B with pivot columns
-P exactly when w - w[P] B = 0.
+cohomology solver reduces all its weight blocks together.  The single-matrix
+RREF pays only for nonzeros: it keeps the columns that hold one, finds each
+next pivot from the rows' leading columns, and updates only the rows with a
+nonzero in the pivot column.  Membership is a residual: w lies in the span
+of a canonical basis B with pivot columns P exactly when w - w[P] B = 0,
+and w[P] B is summed per column from one term w[P_k] B[k, c] per nonzero of
+B, so a sparse basis costs its nonzeros, not its full width.
 
 The modulus is bounded by MAX_MODULUS = 2^16, so a product of two residues is
 below 2^32 and any sum of fewer than 2^31 such products stays below 2^63:
-every int64 matrix product and accumulation here is exact.
+every int64 matrix product and accumulation here is exact.  A residual
+column sums at most dim B < 2^31 terms, each below p^2 < 2^32, so it is
+exact too.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 __all__ = ["check_odd_prime", "modular_inverse", "FpMatrix", "Subspace"]
 
 MAX_MODULUS = 1 << 16
+
+# bound on the rows x nonzeros term array of one Subspace._residual chunk
+_TERMS_PER_CHUNK = 1 << 22
 
 
 def _is_prime(n: int) -> bool:
@@ -62,6 +73,15 @@ def modular_inverse(a: int, p: int) -> int:
     return s0 % p
 
 
+@functools.lru_cache(maxsize=16)
+def _inverse_table(p: int) -> np.ndarray:
+    """Read-only table of modular_inverse(a, p) at index a, with 0 at index 0."""
+    table = np.zeros(p, dtype=np.int64)
+    table[1:] = [modular_inverse(a, p) for a in range(1, p)]
+    table.setflags(write=False)
+    return table
+
+
 def _frozen_grid(p: int, data) -> np.ndarray:
     arr = np.mod(np.asarray(data, dtype=np.int64), p)
     if arr.ndim != 2:
@@ -71,29 +91,52 @@ def _frozen_grid(p: int, data) -> np.ndarray:
 
 
 def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
-    """Reduce a (writable int64 array, entries mod p) to RREF; return pivot columns."""
-    m, n = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(n):
-        if r == m:
+    """Reduce a (writable int64 array, entries mod p) to RREF; return pivot columns.
+
+    Only the columns with a nonzero entry are kept: row operations never
+    leave the union of the rows' supports, so every other column stays zero.
+    Each unreduced row tracks its leading column, so the loop visits the
+    pivot columns alone, and at each pivot only the rows with a nonzero in
+    the pivot column change.
+    """
+    m = a.shape[0]
+    cols = a.any(axis=0).nonzero()[0]
+    width = cols.size
+    if width == 0:
+        return []
+    sub = a[:, cols]
+    inverse = _inverse_table(p)
+    lead = _leading_columns(sub, width)
+    pivots = []
+    for r in range(m):
+        rest = lead[r:]
+        c = rest.min()
+        if c == width:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
+        i = r + (rest == c).argmax()
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        if a[r, c] != 1:
-            a[r] = (a[r] * modular_inverse(int(a[r, c]), p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            a -= np.outer(col, a[r])
-            a %= p
+            sub[[r, i]] = sub[[i, r]]
+            lead[[r, i]] = lead[[i, r]]
+        row = sub[r]
+        if row[c] != 1:
+            row *= inverse[row[c]]
+            row %= p
+        hit = sub[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            sub[hit] = (sub[hit] - sub[hit, c, None] * row) % p
+            below = hit[hit > r]
+            if below.size:
+                lead[below] = _leading_columns(sub[below], width)
         pivots.append(c)
-        r += 1
-    return pivots
+    a[:, cols] = sub
+    return cols[pivots].tolist()
+
+
+def _leading_columns(rows: np.ndarray, width: int) -> np.ndarray:
+    """Column of the first nonzero of each row, or width for a zero row."""
+    nonzero = rows != 0
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width)
 
 
 def _rref_batched(a: np.ndarray, p: int) -> np.ndarray:
@@ -106,6 +149,7 @@ def _rref_batched(a: np.ndarray, p: int) -> np.ndarray:
     pivot = np.zeros((nb, n), dtype=bool)
     rank = np.zeros(nb, dtype=np.int64)
     row_ids = np.arange(m)
+    inverse = _inverse_table(p)
     for c in range(n):
         candidate = (a[:, :, c] != 0) & (row_ids >= rank[:, None])
         live = np.nonzero(candidate.any(axis=1))[0]
@@ -117,8 +161,7 @@ def _rref_batched(a: np.ndarray, p: int) -> np.ndarray:
         sub = a[live]
         top = sub[k, src]
         sub[k, src] = sub[k, dst]
-        inverse = np.array([modular_inverse(v, p) for v in top[:, c].tolist()], dtype=np.int64)
-        top = top * inverse[:, None] % p
+        top = top * inverse[top[:, c]][:, None] % p
         sub[k, dst] = top
         factor = sub[:, :, c].copy()
         factor[k, dst] = 0
@@ -293,10 +336,30 @@ class Subspace:
     def _residual(self, rows: np.ndarray) -> np.ndarray:
         """rows - rows[:, P] @ basis mod p, P the pivot columns (rows reduced mod p).
 
-        Row i of the result is zero exactly when rows[i] lies in the span.
+        Row i of the result is zero exactly when rows[i] lies in the span.  The
+        product is formed from the nonzeros of the basis alone: column c sums
+        the terms rows[:, P_k] * basis[k, c], one per nonzero, and only the
+        columns that hold a nonzero change.  Rows go in chunks, so the term
+        array stays bounded.
         """
-        pivots = (self.basis != 0).argmax(axis=1) if self.dim else np.zeros(0, dtype=np.int64)
-        return (rows - rows[:, pivots] @ self.basis) % self.p
+        out = rows.copy()
+        if not (self.dim and out.size):
+            return out
+        k, c = np.nonzero(self.basis)
+        pivots = c[np.diff(k, prepend=-1) != 0]
+        # regroup the nonzeros by column, then by basis row
+        by_col = np.argsort(c, kind="stable")
+        k, c = k[by_col], c[by_col]
+        starts = np.flatnonzero(np.diff(c, prepend=-1))
+        targets = c[starts]
+        source = pivots[k]
+        coeff = self.basis[k, c]
+        step = max(1, _TERMS_PER_CHUNK // c.size)
+        for lo in range(0, out.shape[0], step):
+            chunk = out[lo : lo + step]
+            sums = np.add.reduceat(chunk[:, source] * coeff, starts, axis=1)
+            chunk[:, targets] = (chunk[:, targets] - sums) % self.p
+        return out
 
     def contains(self, v) -> bool:
         """Membership decided by the residual against the echelon basis."""

@@ -121,13 +121,10 @@ class GModule:
 
     def parity_violations(self) -> list[tuple[int, int, int]]:
         """Entries (i, r, c) where action i does not respect the parity split."""
-        g = self.algebra
-        out = []
-        for i, m in enumerate(self.actions):
-            for r, c in zip(*np.nonzero(m)):
-                if self.parity[r] != (self.parity[c] + g.parity[i]) % 2:
-                    out.append((i, int(r), int(c)))
-        return out
+        mp = np.asarray(self.parity)
+        i, r, c = np.nonzero(np.stack(self.actions))
+        bad = mp[r] != (mp[c] + np.asarray(self.algebra.parity)[i]) % 2
+        return list(zip(i[bad].tolist(), r[bad].tolist(), c[bad].tolist()))
 
     def validate(self) -> None:
         bad = self.representation_violations()
@@ -338,9 +335,14 @@ def weight_decomposition(m: GModule) -> dict[Weight, Subspace]:
 
 def target_weight_space(m: GModule, w: Weight) -> Subspace:
     """The weight space at w by direct eigenvalue matching (any w permitted)."""
-    w = (residue(w[0], m.p), residue(w[1], m.p))
-    match = np.all(np.array(basis_module_weights(m)) == w, axis=1)
-    return Subspace(m.p, m.dim, np.eye(m.dim, dtype=np.int64)[match])
+    return _matching_weight_space(m.p, np.array(basis_module_weights(m)), w)
+
+
+def _matching_weight_space(p: int, weights: np.ndarray, w: Weight) -> Subspace:
+    """Span of the basis vectors whose row of weights equals w mod p."""
+    w = (residue(w[0], p), residue(w[1], p))
+    match = np.all(weights == w, axis=1)
+    return Subspace(p, len(weights), np.eye(len(weights), dtype=np.int64)[match])
 
 
 def root_target_weights(p: int) -> list[Weight]:

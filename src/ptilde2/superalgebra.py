@@ -143,17 +143,16 @@ def build_p_tilde_2(p: int) -> Superalgebra:
     p = check_odd_prime(p)
     mats = p_tilde_2_matrices(p)
     basis = [mats[label] for label in P2_LABELS]
-    # columns = flattened basis matrices; coordinates are the unique solution
-    span = FpMatrix(p, np.stack([m.reshape(-1) for m in basis], axis=1))
+    # columns = flattened basis matrices, then the 64 brackets; one RREF
+    # solves them all, and the coordinates are the unique solutions
     n = len(basis)
-    structure = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            prod = supercommutator(basis[i], basis[j], p)
-            coeffs = span.solve(prod.reshape(-1))
-            if coeffs is None:
-                raise RuntimeError(f"bracket of basis {i},{j} left the span")
-            structure[i, j] = coeffs
+    span = np.stack([m.reshape(-1) for m in basis], axis=1)
+    brackets = [supercommutator(x, y, p).reshape(-1) for x in basis for y in basis]
+    reduced, rank = FpMatrix(p, np.column_stack([span] + brackets)).rref()
+    solved = reduced.data[:n, :n]
+    if rank != n or not np.array_equal(solved, np.eye(n, dtype=np.int64)):
+        raise RuntimeError("a bracket of basis elements left the span")
+    structure = reduced.data[:n, n:].T.reshape(n, n, n).copy()
     g = Superalgebra(
         p=p,
         labels=P2_LABELS,

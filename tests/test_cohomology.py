@@ -422,3 +422,14 @@ def test_property_linear_combinations_stay_derivations(a, b, parity, coeffs):
     for c, coeff in zip(basis, coeffs):
         combo = (combo + coeff * c.values) % 5
     assert all_residuals_vanish(g, km, Cochain(5, parity, combo))
+
+
+def test_closed_form_beyond_the_paper_primes():
+    # p = 61: both dimension-1 regimes, the dimension-2 regime and a zero cell
+    p = 61
+    g = build_p_tilde_2(p)
+    expected = {(0, p - 2): 2, (p - 1, p - 1): 1, (p - 3, p - 1): 1, (1, 2): 0}
+    for (a, b), dim in expected.items():
+        report = h1(g, build_kac_module(g, a, b))
+        assert report.dims.h1_total == dim == predict_h1(p, a, b), (a, b)
+        assert report.agrees

@@ -1,10 +1,14 @@
-"""Whole-array F_p kernels against the loop forms they replaced.
+"""Whole-array and sparse F_p kernels against the forms they replaced.
 
-Each reference below is the loop form a kernel replaced: per-matrix
-elimination for the batched one, a second RREF pass for the kernel readout,
-row-by-row elimination for membership, one from_spanning per coset
-representative, a loop over inner_derivation for the inner span, and the
-dense einsum for the representation law.  Results must be equal, not merely
+Each reference below is the form a kernel replaced: per-matrix elimination
+for the batched one, a second RREF pass for the kernel readout, row-by-row
+elimination for membership, one from_spanning per coset representative, a
+loop over inner_derivation for the inner span, the dense einsum for the
+representation law, the loop over action entries for the parity split, one
+weight read per root weight for the weight spaces, the dense product for
+the membership residual, the sweep over every column for the RREF, a
+modular_inverse call per pivot for the inverse table, and the sum over all
+coordinates for the weight route.  Results must be equal, not merely
 equivalent.
 """
 
@@ -15,12 +19,33 @@ from hypothesis import strategies as st
 
 from ptilde2.cohomology import (
     _coset_representatives,
+    _graded_system,
+    _h1_with_spaces,
+    _weight_codes,
+    _weight_route,
+    _weight_zero_columns,
     derivation_space,
     inner_derivation,
     inner_space,
 )
-from ptilde2.linalg import FpMatrix, Subspace, _rref_batched, _rref_in_place
-from ptilde2.modules import GModule, build_kac_module
+from ptilde2 import linalg
+from ptilde2.linalg import (
+    FpMatrix,
+    Subspace,
+    _inverse_table,
+    _rref_batched,
+    _rref_in_place,
+    modular_inverse,
+)
+from ptilde2.modules import (
+    GModule,
+    _matching_weight_space,
+    basis_module_weights,
+    build_kac_module,
+    root_target_weights,
+    target_weight_space,
+    weight_decomposition,
+)
 from ptilde2.superalgebra import build_p_tilde_2
 
 
@@ -192,3 +217,190 @@ def test_sparse_representation_law_matches_einsum():
             cases += 1
             caught += bool(found)
     assert cases == 180 and caught > 90
+
+
+def parity_violations_reference(m):
+    out = []
+    for i, act in enumerate(m.actions):
+        for r, c in zip(*np.nonzero(act)):
+            if m.parity[r] != (m.parity[c] + m.algebra.parity[i]) % 2:
+                out.append((i, int(r), int(c)))
+    return out
+
+
+def test_parity_mask_matches_entry_loop():
+    rng = np.random.default_rng(11)
+    for p in (3, 5, 7):
+        g = build_p_tilde_2(p)
+        for _ in range(30):
+            a, b = (int(x) for x in rng.integers(0, p, size=2))
+            km = build_kac_module(g, a, b)
+            assert km.parity_violations() == parity_violations_reference(km) == []
+            parity = tuple(int(x) for x in rng.integers(0, 2, size=km.dim))
+            bent = GModule(algebra=g, labels=km.labels, parity=parity, actions=km.actions)
+            assert bent.parity_violations() == parity_violations_reference(bent)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_root_weight_spaces_from_one_weight_read(p):
+    g = build_p_tilde_2(p)
+    for a in range(p):
+        for b in range(p):
+            km = build_kac_module(g, a, b)
+            weights = np.array(basis_module_weights(km))
+            spaces = weight_decomposition(km)
+            for w in root_target_weights(p):
+                got = _matching_weight_space(p, weights, w)
+                assert got == target_weight_space(km, w)
+                assert got == spaces.get(w, Subspace.zero(p, km.dim))
+
+
+def residual_reference(space, rows):
+    # the dense product over all ambient columns
+    pivots = (space.basis != 0).argmax(axis=1) if space.dim else np.zeros(0, dtype=np.int64)
+    return (rows - rows[:, pivots] @ space.basis) % space.p
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 65521])
+def test_sparse_residual_matches_dense_product(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        span = rng.integers(0, p, size=(int(rng.integers(0, n + 2)), n))
+        span[rng.random(span.shape) < 0.6] = 0
+        space = Subspace.from_spanning(p, n, span)
+        rows = rng.integers(0, p, size=(int(rng.integers(0, 6)), n))
+        rows[rng.random(rows.shape) < 0.3] = 0
+        rows[:1] = 0
+        for probe in (rows, rows[:0], np.zeros((3, n), dtype=np.int64)):
+            assert np.array_equal(space._residual(probe), residual_reference(space, probe))
+    # the largest terms: (p-1)^2, twenty of them in every non-pivot column
+    dense = np.concatenate([np.eye(20, dtype=np.int64), np.full((20, 20), p - 1)], axis=1)
+    full = Subspace(p, 40, dense)
+    top = np.full((4, 40), p - 1, dtype=np.int64)
+    assert np.array_equal(full._residual(top), residual_reference(full, top))
+    assert np.array_equal(Subspace.zero(p, 5)._residual(top[:, :5]), top[:, :5])
+
+
+def test_sparse_residual_in_chunks_matches_dense_product(monkeypatch):
+    rng = np.random.default_rng(3)
+    for terms in (1, 7, 50):
+        monkeypatch.setattr(linalg, "_TERMS_PER_CHUNK", terms)
+        for _ in range(20):
+            space = Subspace.from_spanning(11, 9, rng.integers(0, 11, size=(4, 9)))
+            rows = rng.integers(0, 11, size=(int(rng.integers(0, 8)), 9))
+            assert np.array_equal(space._residual(rows), residual_reference(space, rows))
+
+
+def rref_reference(a, p):
+    # the sweep over every column, updating every row at each pivot
+    m, n = a.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        if a[r, c] != 1:
+            a[r] = (a[r] * modular_inverse(int(a[r, c]), p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        if np.any(col):
+            a -= np.outer(col, a[r])
+            a %= p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@st.composite
+def sparse_wide_matrices(draw):
+    p = draw(st.sampled_from([3, 5, 7, 65521]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["blocks", "columns", "zero"]))
+    if shape == "zero":
+        return p, np.zeros((draw(st.integers(0, 6)), draw(st.integers(0, 12))), dtype=np.int64)
+    if shape == "columns":
+        rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 16))
+        a = rng.integers(0, p, size=(rows, cols))
+        a[:, rng.random(cols) < 0.5] = 0
+        return p, a
+    # block-diagonal, wide, with rows and columns shuffled
+    kinds = st.sampled_from(["zero", "random", "full"])
+    specs = draw(
+        st.lists(
+            st.tuples(kinds, st.integers(0, 4), st.integers(0, 7)), min_size=1, max_size=5
+        )
+    )
+    blocks = [random_block(rng, p, kind, rows, cols) for kind, rows, cols in specs]
+    a = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        a[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return p, a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_wide_matrices())
+def test_column_skipping_rref_matches_full_sweep(case):
+    p, a = case
+    got, want = a.copy(), a.copy()
+    assert _rref_in_place(got, p) == rref_reference(want, p)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 23])
+def test_inverse_table_matches_modular_inverse(p):
+    table = _inverse_table(p)
+    assert table[0] == 0
+    assert table.tolist()[1:] == [modular_inverse(a, p) for a in range(1, p)]
+
+
+def test_inverse_table_at_the_largest_prime():
+    p = 65521
+    table = _inverse_table(p)
+    for a in [1, 2, 3, 255, 256, 32760, 32761, 65519, 65520] + list(range(40000, 40100)):
+        assert table[a] == modular_inverse(a, p)
+        assert table[a] * a % p == 1
+
+
+def flat_weight_route(wder, ider):
+    return (wder + ider).dim - ider.dim
+
+
+def weight_routes(g, km):
+    """(restricted route, flat route, weight-0 block width, dim Ider_0 + dim WDer) per parity."""
+    _, wder, ider = _h1_with_spaces(g, km)
+    codes = _weight_codes(g, km)
+    for s in (0, 1):
+        columns = _weight_zero_columns(_graded_system(g, km, s, codes))
+        inside = ~np.delete(ider[s].basis, columns, axis=1).any(axis=1)
+        yield (
+            _weight_route(wder[s].space, ider[s], columns),
+            flat_weight_route(wder[s].space, ider[s]),
+            columns.size,
+            int(inside.sum()) + wder[s].dim,
+        )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_weight_zero_route_matches_the_flat_sum(p):
+    g = build_p_tilde_2(p)
+    cells = [(a, b) for a in range(p) for b in range(p)]
+    if p > 7:
+        cells = [(a, (a - 1) % p) for a in range(p)]  # top index p - 1
+    met = empty = 0
+    for a, b in cells:
+        for restricted, flat, width, meeting in weight_routes(g, build_kac_module(g, a, b)):
+            assert restricted == flat, (p, a, b)
+            empty += width == 0
+            met += meeting > 0
+    assert met > 0
+    if p <= 7:
+        assert empty > 0

@@ -85,3 +85,19 @@ def test_wrong_case_table_entry_fails_the_weights_suite(monkeypatch):
     result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "weights"])
     assert result.exit_code == 1
     assert "case-table mismatch" in result.output
+
+
+def test_relabelled_parity_is_caught_by_the_parity_check():
+    # K(0, 1) at p=3 with g*v0 (index 2) called even: the representation law
+    # ignores module parities, so only the parity split can catch it
+    g = build_p_tilde_2(3)
+    km = build_kac_module(g, 0, 1)
+    parity = list(km.parity)
+    parity[2] = 0
+    bent = modules.GModule(algebra=g, labels=km.labels, parity=tuple(parity), actions=km.actions)
+    assert bent.representation_violations() == []
+    # gamma, alpha, beta, e24 and e14+e23 each have one entry in row or column 2
+    # that now joins blocks of the wrong parity
+    assert bent.parity_violations() == [(0, 2, 0), (3, 2, 3), (4, 3, 2), (6, 1, 2), (7, 0, 2)]
+    with pytest.raises(RepresentationError, match="parity blocks violated"):
+        bent.validate()

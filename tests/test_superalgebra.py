@@ -216,3 +216,15 @@ class TestJson:
         data["structure"] = corrupted
         with pytest.raises(ValueError):
             superalgebra_from_json(data)
+
+
+def test_bracket_outside_the_span_is_refused(monkeypatch):
+    from ptilde2 import superalgebra
+
+    # the identity matrix lies outside the span of the 8 basis matrices
+    def outside(x, y, p):
+        return np.eye(4, dtype=np.int64) if x is y else supercommutator(x, y, p)
+
+    monkeypatch.setattr(superalgebra, "supercommutator", outside)
+    with pytest.raises(RuntimeError, match="left the span"):
+        build_p_tilde_2(5)
