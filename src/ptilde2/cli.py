@@ -2,10 +2,12 @@
 suites, and JSON export of the algebra and its modules.
 
 Exit codes: 0 success, 1 verification failure (or an internal solver failure,
-such as a solver-route disagreement), 2 usage error.  Scans distribute
-independent (a, b) cells over worker processes and always emit rows in
-lexicographic (a, b) order, so the output bytes never depend on the worker
-count.
+such as a solver-route disagreement), 2 usage error.  Grids are walked in
+lexicographic (a, b) order and cut into batches of consecutive cells, each
+solved as one direct-sum system (cohomology._h1_batch).  Scans distribute the
+batches over worker processes; each worker returns every cell's outcome, and
+the parent emits the rows in order or raises the first failing cell's error,
+so neither the output bytes nor the failure line depend on the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .cohomology import (
     SolverFailure,
-    _h1_with_spaces,
+    _h1_batch,
     cartan_values_annihilated,
     derivation_residual,
     h1,
@@ -93,11 +95,8 @@ def _odd_prime_option(ctx, param, value):
         raise click.BadParameter(str(exc))
 
 
-def _scan_cell(args: tuple[int, int, int]) -> ScanRow:
-    p, a, b = args
-    g = _algebra_cache(p)
-    km = build_kac_module(g, a, b)
-    rep = h1(g, km)
+def _scan_row(km, rep) -> ScanRow:
+    a, b = km.highest_weight
     return ScanRow(
         a=a,
         b=b,
@@ -112,6 +111,38 @@ def _scan_cell(args: tuple[int, int, int]) -> ScanRow:
     )
 
 
+# a batch of grid cells closes once the dims of its Kac modules sum to this
+_BATCH_DIM_K = 64
+
+
+def _grid_batches(p: int) -> list[list[tuple[int, int]]]:
+    """The (a, b) grid in lexicographic order, cut into batches for _h1_batch."""
+    batches, batch, total = [], [], 0
+    for a in range(p):
+        for b in range(p):
+            batch.append((a, b))
+            total += 2 * (residue(b - a, p) + 1)  # dim K(a, b)
+            if total >= _BATCH_DIM_K:
+                batches.append(batch)
+                batch, total = [], 0
+    return batches + [batch] if batch else batches
+
+
+def _h1_cells(p: int, cells: list[tuple[int, int]]) -> list:
+    """(module, h1 outcome) per cell, solved as one batch; see _h1_batch."""
+    g = _algebra_cache(p)
+    modules = [build_kac_module(g, a, b) for a, b in cells]
+    return list(zip(modules, _h1_batch(g, modules)))
+
+
+def _scan_batch(args: tuple[int, list[tuple[int, int]]]) -> list:
+    """The ScanRow of each cell of one batch, or the cell's SolverFailure."""
+    return [
+        outcome if isinstance(outcome, SolverFailure) else _scan_row(km, outcome[0])
+        for km, outcome in _h1_cells(*args)
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def _algebra_cache(p: int):
     return build_p_tilde_2(p)
@@ -123,13 +154,23 @@ def _worker_count(jobs: int, cells: int) -> int:
 
 
 def scan_rows(p: int, jobs: int = 1) -> list[ScanRow]:
-    """One row per (a, b) in lexicographic order, identical for any job count."""
-    cells = [(p, a, b) for a in range(p) for b in range(p)]
-    workers = _worker_count(jobs, len(cells))
+    """One row per (a, b) in lexicographic order, identical for any job count.
+
+    Workers take whole batches and return every cell's outcome, so the
+    SolverFailure raised is always that of the first failing cell in order.
+    """
+    batches = [(p, batch) for batch in _grid_batches(p)]
+    workers = _worker_count(jobs, len(batches))
     if workers > 1:
         with Pool(workers) as pool:
-            return pool.map(_scan_cell, cells)
-    return [_scan_cell(c) for c in cells]
+            outcomes = pool.map(_scan_batch, batches)
+    else:
+        outcomes = [_scan_batch(batch) for batch in batches]
+    rows = [row for batch in outcomes for row in batch]
+    for row in rows:
+        if isinstance(row, SolverFailure):
+            raise row
+    return rows
 
 
 def scan_summary(p: int, rows: list[ScanRow]) -> dict:
@@ -316,14 +357,12 @@ def suite_lemmas(p: int) -> list[str]:
             if direct != tabulated:
                 failures.append(f"shift table row {name} fails at b={b}")
     g = _algebra_cache(p)
-    for a in range(p):
-        for b in range(p):
-            km = build_kac_module(g, a, b)
-            try:
-                _, wder, ider = _h1_with_spaces(g, km)
-            except SolverFailure as exc:
-                failures.append(f"solver failure at ({a},{b}): {exc}")
+    for batch in _grid_batches(p):
+        for (a, b), (km, outcome) in zip(batch, _h1_cells(p, batch)):
+            if isinstance(outcome, SolverFailure):
+                failures.append(f"solver failure at ({a},{b}): {outcome}")
                 continue
+            _, wder, ider = outcome
             bad = cartan_values_annihilated(g, km, cochains=wder[0].basis + wder[1].basis)
             if bad:
                 failures.append(f"Cartan values not annihilated at ({a},{b}): {bad[:3]}")

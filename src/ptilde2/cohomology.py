@@ -13,10 +13,16 @@ every equation of the pair (i, j) at module row r has weight
 wt(r) - root(i) - root(j), all mod p; an entry that crosses weights raises.
 Each parity's system is assembled and weight-checked once per cell, and Der
 and WDer are two column sets over it: the parity-coherent coordinates, and
-those of them whose weight is 0.  All weight blocks of one solve are stacked
-into one zero-padded array, each with its columns reversed, and row-reduced
-together by one batched elimination; the canonical block kernels are read
-straight off the reduced stack and merged by leading column.  All subspaces
+those of them whose weight is 0.  Cells are solved in batches: Der(g, M_1 +
+... + M_k) is the direct sum of the Der(g, M_c), so a batch is one system
+whose coordinates are offset cell after cell and whose weight grading is
+refined by cell, and its blocks are exactly the blocks of its cells.  All
+weight blocks of one solve (one route, one parity, the whole batch) are
+stacked into one zero-padded array, each with its columns reversed, and
+row-reduced together by one batched elimination; the canonical block kernels
+are read straight off the reduced stack, merged by leading column and split
+back into one canonical basis per cell.  A single cell is the batch of one,
+and everything after the solve is per cell.  All subspaces
 live in the flattened coordinate space of cochain matrices, flat index
 (row r, column j) -> r * dim(g) + j, so sums and membership tests compose
 across solver routes.  Membership is the residual w - w[P] B of a canonical
@@ -43,7 +49,7 @@ is the oracle of record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -136,11 +142,23 @@ class Cochain:
 
 @dataclass(frozen=True, eq=False)
 class CochainSpace:
-    """One parity part of a derivation-type space, with its canonical basis."""
+    """One parity part of a derivation-type space, with its canonical basis.
+
+    shape is (dim M, dim g); the basis cochains are built from space.basis on
+    first access, since most solves only ever use the space.
+    """
 
     parity: int
-    basis: tuple[Cochain, ...]
     space: Subspace
+    shape: tuple[int, int]
+
+    @cached_property
+    def basis(self) -> tuple[Cochain, ...]:
+        return tuple(self.cochain(k) for k in range(self.dim))
+
+    def cochain(self, k: int) -> Cochain:
+        """Basis row k as a Cochain."""
+        return Cochain(self.space.p, self.parity, self.space.basis[k].reshape(self.shape))
 
     @property
     def dim(self) -> int:
@@ -265,43 +283,63 @@ def _weight_zero_columns(system: _System) -> np.ndarray:
     return system.coherent[system.coord_wt[system.coherent] == 0]
 
 
-def _solve_constrained(system: _System, columns: np.ndarray) -> CochainSpace:
-    """Kernel of the derivation system restricted to the given free coordinates.
+def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> list[CochainSpace]:
+    """Kernels of one parity's derivation systems of several cells, each
+    restricted to its cell's free coordinates.
 
-    The system never exists as one matrix.  Its entries are grouped by weight
-    into one zero-padded (blocks, rows, cols) stack, each block with its
-    columns in descending flat order, and the whole stack is row-reduced by a
-    single batched elimination.  The reversed columns let each block's
-    canonical kernel be read straight off its reduced form; the block kernels
-    have disjoint supports, so sorting their rows by leading column gives the
-    canonical basis.
+    The cells form one direct-sum system, which never exists as one matrix.
+    Cell c's coordinates are offset past those of the cells before it and its
+    weight codes by c * p^2, so each weight block lies in one cell and is the
+    block that cell alone would have.  Rows are keyed by (block, row), so they
+    need no offset.  The entries are grouped by block into one zero-padded
+    (blocks, rows, cols) stack, each block with its columns in descending flat
+    order, and the whole stack is row-reduced by a single batched
+    elimination.  The reversed columns let each block's canonical kernel be
+    read straight off its reduced form.  The block kernels have disjoint
+    supports, so sorting their rows by leading column gives, cell after cell,
+    each cell's canonical basis.
     """
-    g, m, parity, coord_wt = system.g, system.m, system.parity, system.coord_wt
+    g, parity = systems[0].g, systems[0].parity
     p = g.p
-    n = m.dim * g.dim
-    if columns.size == 0:
-        return CochainSpace(parity=parity, basis=(), space=Subspace.zero(p, n))
-    rows, cols, vals = system.entries
+    shapes = [(system.m.dim, g.dim) for system in systems]
+    sizes = np.array([dm * dg for dm, dg in shapes])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(offsets[-1])
+    free_cols = np.concatenate([cols + offsets[c] for c, cols in enumerate(columns)])
+    if free_cols.size == 0:
+        return [
+            CochainSpace(parity=parity, space=Subspace.zero(p, size), shape=shape)
+            for size, shape in zip(sizes, shapes)
+        ]
+    coord_wt = np.concatenate(
+        [system.coord_wt + c * p * p for c, system in enumerate(systems)]
+    )
     free = np.zeros(n, dtype=bool)
-    free[columns] = True
+    free[free_cols] = True
+    entries = [system.entries for system in systems]
+    rows = np.concatenate([rows for rows, _, _ in entries])
+    cols = np.concatenate([cols + offsets[c] for c, (_, cols, _) in enumerate(entries)])
+    vals = np.concatenate([vals for _, _, vals in entries])
     keep = free[cols]
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
     # blocks by weight; inside a block, position q holds the q-th largest column
-    order = np.lexsort((-columns, coord_wt[columns]))
-    _, starts, widths = np.unique(coord_wt[columns[order]], return_index=True, return_counts=True)
+    order = np.lexsort((-free_cols, coord_wt[free_cols]))
+    codes, starts, widths = np.unique(
+        coord_wt[free_cols[order]], return_index=True, return_counts=True
+    )
     n_blocks = widths.size
     col_block = np.repeat(np.arange(n_blocks), widths)
-    col_pos = np.arange(columns.size) - starts[col_block]
+    col_pos = np.arange(free_cols.size) - starts[col_block]
     block_cols = np.full((n_blocks, widths.max()), n)
-    block_cols[col_block, col_pos] = columns[order]
+    block_cols[col_block, col_pos] = free_cols[order]
     block_of = np.empty(n, dtype=np.int64)
     pos_of = np.empty(n, dtype=np.int64)
-    block_of[columns[order]] = col_block
-    pos_of[columns[order]] = col_pos
+    block_of[free_cols[order]] = col_block
+    pos_of[free_cols[order]] = col_pos
 
     # rows numbered within their block, through one sort of (block, row) keys
-    n_rows = g.dim * g.dim * m.dim
+    n_rows = g.dim * int(sizes.max())
     keys, entry_key = np.unique(block_of[cols] * n_rows + rows, return_inverse=True)
     key_block = keys // n_rows
     heights = np.bincount(key_block, minlength=n_blocks)
@@ -312,18 +350,30 @@ def _solve_constrained(system: _System, columns: np.ndarray) -> CochainSpace:
 
     pivot = _rref_batched(stack, p)
     free_b, free_c, vectors = _reversed_kernels(stack, pivot, widths, p)
-    merged = np.zeros((free_b.size, n + 1), dtype=np.int64)
-    merged[np.arange(free_b.size)[:, None], block_cols[free_b]] = vectors
-    merged = merged[np.argsort(block_cols[free_b, free_c]), :n]
-    space = Subspace(p, n, merged)
-    basis = tuple(Cochain(p, parity, row.reshape(m.dim, g.dim)) for row in space.basis)
-    return CochainSpace(parity=parity, basis=basis, space=space)
+    # each kernel row in its cell's own coordinates, as wide as the widest cell
+    width = int(sizes.max())
+    cell = codes[free_b] // (p * p)
+    local = np.where(block_cols[free_b] < n, block_cols[free_b] - offsets[cell][:, None], width)
+    merged = np.zeros((free_b.size, width + 1), dtype=np.int64)
+    merged[np.arange(free_b.size)[:, None], local] = vectors
+    leads = block_cols[free_b, free_c]
+    by_lead = np.argsort(leads)
+    bounds = np.searchsorted(leads[by_lead], offsets)
+    merged = merged[by_lead]
+    return [
+        CochainSpace(
+            parity=parity,
+            space=Subspace(p, size, merged[bounds[c] : bounds[c + 1], :size]),
+            shape=shape,
+        )
+        for c, (size, shape) in enumerate(zip(sizes, shapes))
+    ]
 
 
 def derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
     """Canonical basis of the parity part of Der(g, M)."""
     system = _graded_system(g, m, parity, _weight_codes(g, m))
-    return _solve_constrained(system, system.coherent)
+    return _solve_constrained([system], [system.coherent])[0]
 
 
 def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
@@ -334,7 +384,7 @@ def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> Cochain
     both parity-coherent and of weight 0.
     """
     system = _graded_system(g, m, parity, _weight_codes(g, m))
-    return _solve_constrained(system, _weight_zero_columns(system))
+    return _solve_constrained([system], [_weight_zero_columns(system)])[0]
 
 
 def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
@@ -477,7 +527,7 @@ def _coset_representatives(ider: Subspace, der: CochainSpace) -> list[Cochain]:
     live = np.flatnonzero(residual.any(axis=1))
     outside = residual[live]
     picks = _rref_in_place(outside.T[outside.any(axis=0)].copy(), ider.p)
-    return [der.basis[live[k]] for k in picks]
+    return [der.cochain(live[k]) for k in picks]
 
 
 def _weight_route(wder: Subspace, ider: Subspace, columns: np.ndarray) -> int:
@@ -499,23 +549,39 @@ def _weight_route(wder: Subspace, ider: Subspace, columns: np.ndarray) -> int:
     return (wder_0 + ider_0).dim - ider_0.dim
 
 
-def _h1_with_spaces(g: Superalgebra, m: GModule):
-    """h1's report, with the WDer and Ider it was computed from: (report, wder, ider).
+def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
+    """h1 of several cells at once: per module, (report, wder, ider) or its SolverFailure.
 
-    wder maps each parity to its CochainSpace and ider to its Subspace.
-    Each parity's system is assembled once; Der and WDer are two column sets
-    over it, each solved by its own _solve_constrained call, so the weight
-    route stays an independent solve rather than a slice of Der.
+    Der(g, M_1 + ... + M_k) is the direct sum of the Der(g, M_c), so the cells'
+    systems are solved as one: each (cell, parity) system is assembled once,
+    and per parity Der takes one _solve_constrained call over all the cells
+    and WDer another, so the weight route stays an independent solve rather
+    than a slice of Der.  The rest is per cell, in _h1_from_spaces; a cell
+    whose checks fail gives its SolverFailure and leaves the others be.
     """
-    if m.highest_weight is None:
-        raise ValueError("module must carry its highest weight")
-    codes = _weight_codes(g, m)
-    der, wder, zero_cols = {}, {}, {}
-    for s in (0, 1):
-        system = _graded_system(g, m, s, codes)
-        zero_cols[s] = _weight_zero_columns(system)
-        der[s] = _solve_constrained(system, system.coherent)
-        wder[s] = _solve_constrained(system, zero_cols[s])
+    for m in modules:
+        if m.highest_weight is None:
+            raise ValueError("module must carry its highest weight")
+    systems = {0: [], 1: []}
+    for m in modules:
+        codes = _weight_codes(g, m)
+        for s in (0, 1):
+            systems[s].append(_graded_system(g, m, s, codes))
+    zero_cols = {s: [_weight_zero_columns(system) for system in systems[s]] for s in (0, 1)}
+    der = {s: _solve_constrained(systems[s], [x.coherent for x in systems[s]]) for s in (0, 1)}
+    wder = {s: _solve_constrained(systems[s], zero_cols[s]) for s in (0, 1)}
+    outcomes = []
+    for c, m in enumerate(modules):
+        cell = ({s: per_cell[s][c] for s in (0, 1)} for per_cell in (der, wder, zero_cols))
+        try:
+            outcomes.append(_h1_from_spaces(g, m, *cell))
+        except SolverFailure as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _h1_from_spaces(g: Superalgebra, m: GModule, der: dict, wder: dict, zero_cols: dict):
+    """One cell's (report, wder, ider), given its Der and WDer per parity."""
     ider = dict(enumerate(inner_space(g, m)))
 
     for s in (0, 1):
@@ -551,6 +617,18 @@ def _h1_with_spaces(g: Superalgebra, m: GModule):
         agrees=(dims.h1_total == predicted),
     )
     return report, wder, ider
+
+
+def _h1_with_spaces(g: Superalgebra, m: GModule):
+    """h1's report, with the WDer and Ider it was computed from: (report, wder, ider).
+
+    wder maps each parity to its CochainSpace and ider to its Subspace.  This
+    is the batch of one.
+    """
+    outcome = _h1_batch(g, [m])[0]
+    if isinstance(outcome, SolverFailure):
+        raise outcome
+    return outcome
 
 
 def h1(g: Superalgebra, m: GModule) -> CohomologyReport:

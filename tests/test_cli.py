@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from ptilde2 import cli, cohomology
 from ptilde2.cli import CSV_HEADER, main, scan_rows, scan_summary
+from ptilde2.linalg import Subspace
 from ptilde2.superalgebra import build_p_tilde_2
 from ptilde2.modules import build_kac_module, gmodule_from_json
 from ptilde2.superalgebra import superalgebra_from_json
@@ -96,6 +98,37 @@ class TestScanCommand:
         serial = runner.invoke(main, ["scan", "--p", "3", "--out", "csv", "--jobs", "1"])
         parallel = runner.invoke(main, ["scan", "--p", "3", "--out", "csv", "--jobs", "2"])
         assert serial.output == parallel.output
+
+    def test_worker_pool_output_is_byte_identical(self, runner):
+        # p=7 makes several batches, so --jobs 2 maps them over a real pool
+        assert len(cli._grid_batches(7)) > 1
+        serial = runner.invoke(main, ["scan", "--p", "7", "--out", "csv", "--jobs", "1"])
+        parallel = runner.invoke(main, ["scan", "--p", "7", "--out", "csv", "--jobs", "2"])
+        assert serial.exit_code == parallel.exit_code == 0
+        assert (serial.stdout, serial.stderr) == (parallel.stdout, parallel.stderr)
+
+    def test_first_failing_cell_wins_for_any_worker_count(self, runner, monkeypatch):
+        # Ider escapes Der at two cells of different batches, in different parities,
+        # so the two cells' failure lines differ; forked workers inherit the patch
+        inner = cohomology.inner_space
+        escaped = {(1, 2): 1, (3, 4): 0}
+
+        def planted(g, m):
+            spans = list(inner(g, m))
+            if m.highest_weight in escaped:
+                s = escaped[m.highest_weight]
+                spans[s] = Subspace.full(g.p, spans[s].ambient_dim)
+            return tuple(spans)
+
+        monkeypatch.setattr(cohomology, "inner_space", planted)
+        batch_of = {cell: k for k, batch in enumerate(cli._grid_batches(5)) for cell in batch}
+        assert batch_of[1, 2] != batch_of[3, 4]
+        serial = runner.invoke(main, ["scan", "--p", "5", "--jobs", "1"])
+        parallel = runner.invoke(main, ["scan", "--p", "5", "--jobs", "2"])
+        assert serial.exit_code == parallel.exit_code == 1
+        assert serial.stderr == parallel.stderr == (
+            "internal solver failure: inner derivations escaped the derivation space (parity 1)\n"
+        )
 
     def test_double_dimension_rows_at_p5(self, runner):
         rows = scan_rows(5)
