@@ -148,9 +148,9 @@ def _algebra_cache(p: int):
     return build_p_tilde_2(p)
 
 
-def _worker_count(jobs: int, cells: int) -> int:
-    """Worker processes for a scan: the requested count, capped by cells and CPUs."""
-    return min(jobs, cells, os.cpu_count() or 1)
+def _worker_count(jobs: int, batches: int) -> int:
+    """Worker processes for a scan: the requested count, capped by batches and CPUs."""
+    return min(jobs, batches, os.cpu_count() or 1)
 
 
 def scan_rows(p: int, jobs: int = 1) -> list[ScanRow]:
