@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import click
@@ -73,19 +73,7 @@ class ScanRow:
     agrees: bool
 
     def csv(self) -> str:
-        vals = [
-            self.a,
-            self.b,
-            self.phi_b_minus_a,
-            self.dim_K,
-            self.dim_der_even,
-            self.dim_der_odd,
-            self.dim_ider,
-            self.h1_total,
-            self.predicted,
-            str(self.agrees).lower(),
-        ]
-        return ",".join(str(v) for v in vals)
+        return ",".join(str(v).lower() for v in vars(self).values())
 
 
 def _odd_prime_option(ctx, param, value):
@@ -242,7 +230,7 @@ def cmd_scan(p, out, jobs):
             click.echo(row.csv())
         click.echo(f"# summary: {json.dumps(summary, sort_keys=True)}", err=True)
     else:
-        payload = {"p": p, "rows": [asdict(r) for r in rows], "summary": summary}
+        payload = {"p": p, "rows": [vars(r) for r in rows], "summary": summary}
         click.echo(json.dumps(payload, indent=2))
 
 
@@ -370,7 +358,6 @@ def suite_lemmas(p: int) -> list[str]:
                 cocycles = outer_cocycles(p, a, b)
             except ValueError:
                 continue
-            inner_total = ider[0] + ider[1]
             for pos, c in enumerate(cocycles):
                 residuals = [
                     (i, j)
@@ -380,7 +367,7 @@ def suite_lemmas(p: int) -> list[str]:
                 ]
                 if residuals:
                     failures.append(f"cocycle {pos} at ({a},{b}) has residuals {residuals[:3]}")
-                if inner_total.contains(c.flat()):
+                if ider[c.parity].contains(c.flat()):
                     failures.append(f"cocycle {pos} at ({a},{b}) is inner")
     return failures
 

@@ -41,9 +41,10 @@ solve over the shared system, not a slice of Der's weight-0 block.  With
 both spaces checked to lie in Der, the routes agree exactly when
 WDer + Ider = Der, the paper's lemma, i.e. Der_nu = Ider_nu for every
 weight nu != 0; any disagreement, like any other broken solver invariant,
-raises SolverFailure.  The closed-form predictor is a third value;
-predictor disagreement is reported, not raised, since the validated solver
-is the oracle of record.
+raises SolverFailure.  The paper's closed form is stated once, in the
+_REGIMES table, which predict_h1, predictor_clauses and outer_cocycles all
+read.  Its prediction is a third value; predictor disagreement is reported,
+not raised, since the validated solver is the oracle of record.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    FpMatrix,
     Subspace,
     _reversed_kernels,
     _rref_batched,
@@ -77,7 +77,6 @@ __all__ = [
     "weight_derivation_space",
     "inner_derivation",
     "inner_space",
-    "module_invariants",
     "outer_cocycles",
     "predict_h1",
     "predictor_clauses",
@@ -416,37 +415,30 @@ def inner_space(g: Superalgebra, m: GModule) -> tuple[Subspace, Subspace]:
     )
 
 
-def module_invariants(m: GModule) -> Subspace:
-    """{v : x v = 0 for all x}, the kernel of the map v -> inner derivation of v."""
-    stacked = np.concatenate(m.actions, axis=0)
-    return FpMatrix(m.p, stacked).nullspace()
+# The closed form for dim H1, one entry per regime: (clause, a+b mod p,
+# p - residue(b), dim H1).  For odd p no two regimes overlap.
+_REGIMES = (
+    ("dim2:a+b=-2,res(b)=p-2", -2, 2, 2),
+    ("dim1:a+b=-2,res(b)=p-1", -2, 1, 1),
+    ("dim1:a+b=-4,res(b)=p-1", -4, 1, 1),
+)
+
+
+def _regimes(p: int, a, b) -> list[tuple[str, int, int, int]]:
+    """The _REGIMES entries that (a, b) matches, in table order."""
+    p = check_odd_prime(p)
+    s, x = residue(a + b, p), residue(b, p)
+    return [r for r in _REGIMES if s == residue(r[1], p) and x == p - r[2]]
 
 
 def predict_h1(p: int, a, b) -> int:
     """Closed-form dimension of H1 for the Kac module with highest weight (a, b)."""
-    p = check_odd_prime(p)
-    s = residue(a + b, p)
-    x = residue(b, p)
-    if s == residue(-2, p) and x == p - 2:
-        return 2
-    if x == p - 1 and s in (residue(-2, p), residue(-4, p)):
-        return 1
-    return 0
+    return sum(dim for *_, dim in _regimes(p, a, b))
 
 
 def predictor_clauses(p: int, a, b) -> tuple[str, ...]:
     """Which closed-form clauses match; more than one would flag an overlap."""
-    p = check_odd_prime(p)
-    s = residue(a + b, p)
-    x = residue(b, p)
-    matched = []
-    if s == residue(-2, p) and x == p - 2:
-        matched.append("dim2:a+b=-2,res(b)=p-2")
-    if s == residue(-2, p) and x == p - 1:
-        matched.append("dim1:a+b=-2,res(b)=p-1")
-    if s == residue(-4, p) and x == p - 1:
-        matched.append("dim1:a+b=-4,res(b)=p-1")
-    return tuple(matched)
+    return tuple(clause for clause, *_ in _regimes(p, a, b))
 
 
 def outer_cocycles(p: int, a, b) -> list[Cochain]:
@@ -459,38 +451,33 @@ def outer_cocycles(p: int, a, b) -> list[Cochain]:
     positive-grade part.  Outside all regimes this raises ValueError.
     """
     p = check_odd_prime(p)
-    s = residue(a + b, p)
-    x = residue(b, p)
+    matched = _regimes(p, a, b)
+    if not matched:
+        raise ValueError(
+            f"(a, b) = ({a}, {b}) mod {p} lies outside the three outer-cocycle regimes"
+        )
+    _, s, gap, _ = matched[0]
     t = residue(b - a, p)
     n = 2 * (t + 1)
     idx = {lab: i for i, lab in enumerate(P2_LABELS)}
     even_row, odd_row = (partial(_kac_index, t, parity) for parity in (0, 1))
-
-    def blank() -> np.ndarray:
-        return np.zeros((n, 8), dtype=np.int64)
-
-    if s == residue(-2, p) and x == p - 2:
-        c1 = blank()
-        c1[odd_row(p - 2), idx["alpha"]] = 1
-        c1[even_row(p - 2), idx["e13"]] = p - 1
-        c2 = blank()
+    c = np.zeros((n, 8), dtype=np.int64)
+    if gap == 2:  # residue(b) = p-2
+        c[odd_row(p - 2), idx["alpha"]] = 1
+        c[even_row(p - 2), idx["e13"]] = p - 1
+        c2 = np.zeros((n, 8), dtype=np.int64)
         c2[odd_row(0), idx["beta"]] = 1
         c2[even_row(0), idx["e24"]] = 1
-        return [Cochain(p, 1, c1), Cochain(p, 1, c2)]
-    if s == residue(-2, p) and x == p - 1:
-        c3 = blank()
-        c3[odd_row(0), idx["h1"]] = 1
-        c3[odd_row(0), idx["h2"]] = 1
-        return [Cochain(p, 1, c3)]
-    if s == residue(-4, p) and x == p - 1:
-        c4 = blank()
-        c4[odd_row(0), idx["e13"]] = 2
-        c4[odd_row(2), idx["e24"]] = 1
-        c4[odd_row(1), idx["e14+e23"]] = p - 2
-        return [Cochain(p, 0, c4)]
-    raise ValueError(
-        f"(a, b) = ({a}, {b}) mod {p} lies outside the three outer-cocycle regimes"
-    )
+        return [Cochain(p, 1, c), Cochain(p, 1, c2)]
+    if s == -2:  # a+b = -2, residue(b) = p-1
+        c[odd_row(0), idx["h1"]] = 1
+        c[odd_row(0), idx["h2"]] = 1
+        return [Cochain(p, 1, c)]
+    # a+b = -4, residue(b) = p-1
+    c[odd_row(0), idx["e13"]] = 2
+    c[odd_row(2), idx["e24"]] = 1
+    c[odd_row(1), idx["e14+e23"]] = p - 2
+    return [Cochain(p, 0, c)]
 
 
 @dataclass(frozen=True)
@@ -619,18 +606,6 @@ def _h1_from_spaces(g: Superalgebra, m: GModule, der: dict, wder: dict, zero_col
     return report, wder, ider
 
 
-def _h1_with_spaces(g: Superalgebra, m: GModule):
-    """h1's report, with the WDer and Ider it was computed from: (report, wder, ider).
-
-    wder maps each parity to its CochainSpace and ider to its Subspace.  This
-    is the batch of one.
-    """
-    outcome = _h1_batch(g, [m])[0]
-    if isinstance(outcome, SolverFailure):
-        raise outcome
-    return outcome
-
-
 def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
     """Full H1 report with the dual-route consistency check.
 
@@ -639,7 +614,10 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
     derivation decomposes as a weight-derivation plus an inner one), and
     SolverFailure if inner or weight-derivations escape the derivation space.
     """
-    return _h1_with_spaces(g, m)[0]
+    outcome = _h1_batch(g, [m])[0]
+    if isinstance(outcome, SolverFailure):
+        raise outcome
+    return outcome[0]
 
 
 def cartan_values_annihilated(
@@ -680,15 +658,7 @@ def report_to_json(report: CohomologyReport, g: Superalgebra, m: GModule) -> dic
     return {
         "p": report.p,
         "lambda": list(report.weight),
-        "dims": {
-            "der_even": report.dims.der_even,
-            "der_odd": report.dims.der_odd,
-            "ider_even": report.dims.ider_even,
-            "ider_odd": report.dims.ider_odd,
-            "h1_even": report.dims.h1_even,
-            "h1_odd": report.dims.h1_odd,
-            "h1_total": report.dims.h1_total,
-        },
+        "dims": dict(vars(report.dims)),
         "predicted": report.predicted,
         "agrees": report.agrees,
         "representatives": [

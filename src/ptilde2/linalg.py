@@ -213,10 +213,6 @@ class FpMatrix:
         return cls(p, np.eye(n, dtype=np.int64))
 
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.data.shape[1]
 
@@ -250,21 +246,6 @@ class FpMatrix:
         _, _, vectors = _reversed_kernels(a[None], pivot, np.array([n]), self.p)
         # back to the original column order; leading columns then ascend
         return Subspace(self.p, n, vectors[::-1, ::-1])
-
-    def solve(self, rhs) -> np.ndarray | None:
-        """One solution of self @ x = rhs (free variables 0), or None if inconsistent."""
-        b = np.mod(np.asarray(rhs, dtype=np.int64).reshape(-1), self.p)
-        if b.size != self.rows:
-            raise ValueError(f"rhs length {b.size} != rows {self.rows}")
-        aug = np.concatenate([self.data, b[:, None]], axis=1)
-        pivots = _rref_in_place(aug, self.p)
-        n = self.cols
-        if pivots and pivots[-1] == n:
-            return None
-        x = np.zeros(n, dtype=np.int64)
-        for r, c in enumerate(pivots):
-            x[c] = aug[r, n]
-        return x
 
     def tolist(self) -> list[list[int]]:
         return self.data.tolist()

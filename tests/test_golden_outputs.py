@@ -24,7 +24,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_scan_rows_match_golden_digests(p):
     golden = GOLDEN["scan"][str(p)]
     result = CliRunner().invoke(main, ["scan", "--p", str(p), "--out", "csv"])

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ptilde2.cohomology import (
     _coset_representatives,
     _graded_system,
-    _h1_with_spaces,
+    _h1_batch,
     _weight_codes,
     _weight_route,
     _weight_zero_columns,
@@ -376,7 +376,7 @@ def flat_weight_route(wder, ider):
 
 def weight_routes(g, km):
     """(restricted route, flat route, weight-0 block width, dim Ider_0 + dim WDer) per parity."""
-    _, wder, ider = _h1_with_spaces(g, km)
+    _, wder, ider = _h1_batch(g, [km])[0]
     codes = _weight_codes(g, km)
     for s in (0, 1):
         columns = _weight_zero_columns(_graded_system(g, km, s, codes))

@@ -131,17 +131,6 @@ class TestNullspace:
                 assert not np.any((m.data @ row) % 5)
 
 
-class TestSolve:
-    def test_unique_solution(self):
-        m = FpMatrix(5, [[1, 1], [0, 1]])
-        x = m.solve([3, 2])
-        assert x is not None and np.array_equal((m.data @ x) % 5, [3, 2])
-
-    def test_inconsistent_returns_none(self):
-        m = FpMatrix(5, [[1, 2], [2, 4]])
-        assert m.solve([0, 1]) is None
-
-
 class TestSubspaceArithmetic:
     def test_sum_with_zero(self):
         a = Subspace.from_spanning(3, 3, [[1, 2, 0]])

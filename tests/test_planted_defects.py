@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ptilde2 import cohomology, modules
+from ptilde2 import cli, cohomology, modules
 from ptilde2.cli import main
 from dense_reference import _derivation_system
-from ptilde2.cohomology import _coherent_columns, derivation_space, h1
+from ptilde2.cohomology import _coherent_columns, derivation_space, h1, inner_derivation
 from ptilde2.linalg import FpMatrix, Subspace
 from ptilde2.modules import KacModule, RepresentationError, build_kac_module
 from ptilde2.superalgebra import build_p_tilde_2
@@ -76,6 +76,22 @@ def test_dropped_pair_breaks_the_blocked_solver(monkeypatch, g5):
     assert derivation_space(g5, km, 1).space != Subspace(5, n, reference)
     # the closed form disagrees with the inflated H1
     assert not h1(g5, km).agrees
+
+
+@pytest.mark.parametrize("label", ["g*v1", "1*v1"])
+def test_inner_cocycle_is_a_lemma_suite_finding(monkeypatch, g5, label):
+    # the outerness check of each cocycle reads the Ider of its own parity
+    km = build_kac_module(g5, 0, 3)
+    v = np.eye(km.dim, dtype=np.int64)[km.labels.index(label)]
+    planted = inner_derivation(g5, km, v)
+    real = cli.outer_cocycles
+    monkeypatch.setattr(
+        cli, "outer_cocycles", lambda p, a, b: [planted] if (a, b) == (0, 3) else real(p, a, b)
+    )
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "lemmas"])
+    assert result.exit_code == 1
+    assert "FAIL (1 findings)" in result.output
+    assert "cocycle 0 at (0,3) is inner" in result.output
 
 
 def test_wrong_case_table_entry_fails_the_weights_suite(monkeypatch):
