@@ -22,29 +22,28 @@ stacked into one zero-padded array, each with its columns reversed, and
 row-reduced together by one batched elimination; the canonical block kernels
 are read straight off the reduced stack, merged by leading column and split
 back into one canonical basis per cell.  A single cell is the batch of one,
-and everything after the solve is per cell.  All subspaces
-live in the flattened coordinate space of cochain matrices, flat index
-(row r, column j) -> r * dim(g) + j, so sums and membership tests compose
-across solver routes.  Membership is the residual w - w[P] B of a canonical
-basis B with pivot columns P, formed from the nonzeros of B, and the coset
-representatives of Der/Ider are the pivot columns of one RREF of the
-transposed residuals of the Der rows that do not lie in Ider.
+and everything after the solve is per cell.  All subspaces live in the
+flattened coordinate space of cochain matrices, flat index (row r, column j)
+-> r * dim(g) + j, so sums and membership tests compose across solver
+routes.  Membership is the residual w - w[P] B of a canonical basis B with
+pivot columns P, formed from the nonzeros of B.  The rows of a space that
+are independent modulo Ider are the pivot columns of one RREF of their
+transposed residuals modulo Ider, and h1 reads three facts off them: the
+Der rows picked are the coset representatives of Der/Ider, there are
+dim Der - dim Ider of them exactly when Ider lies in Der, and the number of
+WDer rows picked is the weight route.
 
 h1 always runs two independent routes: dim Der - dim Ider, and
-dim WDer - dim(WDer meet Ider) over the weight-0 block, computed
-dimension-only as dim(WDer + Ider_0) - dim Ider_0 on the weight-0
-coordinates.  Ider_0 is spanned by the canonical Ider rows supported there:
-the inner derivation of module vector r is homogeneous of weight wt(r), so
-the canonical Ider basis has one weight per row, and WDer, which lies in the
-weight-0 coordinates, can meet only the weight-0 rows.  WDer has its own
-solve over the shared system, not a slice of Der's weight-0 block.  With
-both spaces checked to lie in Der, the routes agree exactly when
-WDer + Ider = Der, the paper's lemma, i.e. Der_nu = Ider_nu for every
-weight nu != 0; any disagreement, like any other broken solver invariant,
-raises SolverFailure.  The paper's closed form is stated once, in the
-_REGIMES table, which predict_h1, predictor_clauses and outer_cocycles all
-read.  Its prediction is a third value; predictor disagreement is reported,
-not raised, since the validated solver is the oracle of record.
+dim WDer - dim(WDer meet Ider), computed dimension-only as the rank of WDer
+modulo Ider, dim(WDer + Ider) - dim Ider.  WDer has its own solve over the
+shared system, not a slice of Der's weight-0 block.  With both spaces
+checked to lie in Der, the routes agree exactly when WDer + Ider = Der, the
+paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0; any
+disagreement, like any other broken solver invariant, raises SolverFailure.
+The paper's closed form is stated once, in the _REGIMES table, which
+predict_h1, predictor_clauses and outer_cocycles all read.  Its prediction
+is a third value; predictor disagreement is reported, not raised, since the
+validated solver is the oracle of record.
 """
 
 from __future__ import annotations
@@ -501,39 +500,15 @@ class CohomologyReport:
     agrees: bool
 
 
-def _coset_representatives(ider: Subspace, der: CochainSpace) -> list[Cochain]:
-    """Greedy completion of the inner span to the derivation span, canonical order.
+def _independent_modulo(ider: Subspace, rows: np.ndarray) -> list[int]:
+    """Indices of the rows independent modulo Ider and the rows before them.
 
-    Der basis row k is taken when it is not in the span of Ider and the rows
-    before it, i.e. when its residual modulo Ider is independent of the
-    earlier residuals: exactly the pivot columns of the transposed residuals.
-    A row with zero residual lies in Ider and is never taken, so only the
-    other rows are reduced.
+    These are the pivot columns of one RREF of the transposed residuals
+    modulo Ider (a row with zero residual is a zero column, never a pivot),
+    so their count is dim(span(rows) + Ider) - dim Ider.
     """
-    residual = ider._residual(der.space.basis)
-    live = np.flatnonzero(residual.any(axis=1))
-    outside = residual[live]
-    picks = _rref_in_place(outside.T[outside.any(axis=0)].copy(), ider.p)
-    return [der.cochain(live[k]) for k in picks]
-
-
-def _weight_route(wder: Subspace, ider: Subspace, columns: np.ndarray) -> int:
-    """dim WDer - dim(WDer meet Ider), computed over the weight-0 coordinates only.
-
-    columns are WDer's free coordinates, the coherent ones of weight 0, so
-    WDer lies in their span.  Each canonical Ider row lies in one weight
-    block, so WDer meets Ider inside the span Ider_0 of the Ider rows
-    supported on those columns, and the count is dim(WDer + Ider_0) -
-    dim Ider_0 with both spaces restricted to the columns.
-    """
-    if columns.size == 0:
-        return wder.dim
-    outside = np.ones(ider.ambient_dim, dtype=bool)
-    outside[columns] = False
-    rows = ider.basis[~ider.basis[:, outside].any(axis=1)]
-    ider_0 = Subspace(ider.p, columns.size, rows[:, columns])
-    wder_0 = Subspace(wder.p, columns.size, wder.basis[:, columns])
-    return (wder_0 + ider_0).dim - ider_0.dim
+    residual = ider._residual(rows)
+    return _rref_in_place(residual.T[residual.any(axis=0)], ider.p)
 
 
 def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
@@ -559,7 +534,7 @@ def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
     wder = {s: _solve_constrained(systems[s], zero_cols[s]) for s in (0, 1)}
     outcomes = []
     for c, m in enumerate(modules):
-        cell = ({s: per_cell[s][c] for s in (0, 1)} for per_cell in (der, wder, zero_cols))
+        cell = ({s: per_cell[s][c] for s in (0, 1)} for per_cell in (der, wder))
         try:
             outcomes.append(_h1_from_spaces(g, m, *cell))
         except SolverFailure as exc:
@@ -567,23 +542,25 @@ def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
     return outcomes
 
 
-def _h1_from_spaces(g: Superalgebra, m: GModule, der: dict, wder: dict, zero_cols: dict):
+def _h1_from_spaces(g: Superalgebra, m: GModule, der: dict, wder: dict):
     """One cell's (report, wder, ider), given its Der and WDer per parity."""
     ider = dict(enumerate(inner_space(g, m)))
 
+    picks = {}
     for s in (0, 1):
-        if not ider[s].is_subspace_of(der[s].space):
+        picks[s] = _independent_modulo(ider[s], der[s].space.basis)
+        if len(picks[s]) != der[s].dim - ider[s].dim:
             raise SolverFailure(f"inner derivations escaped the derivation space (parity {s})")
         if not wder[s].space.is_subspace_of(der[s].space):
             raise SolverFailure(f"weight-derivations escaped the derivation space (parity {s})")
 
     h1_even = der[0].dim - ider[0].dim
     h1_odd = der[1].dim - ider[1].dim
-    w_even, w_odd = (_weight_route(wder[s].space, ider[s], zero_cols[s]) for s in (0, 1))
+    w_even, w_odd = (len(_independent_modulo(ider[s], wder[s].space.basis)) for s in (0, 1))
     if (w_even, w_odd) != (h1_even, h1_odd):
         raise RouteDisagreement(g.p, m.highest_weight, (h1_even, h1_odd), (w_even, w_odd))
 
-    reps = _coset_representatives(ider[0], der[0]) + _coset_representatives(ider[1], der[1])
+    reps = [der[s].cochain(k) for s in (0, 1) for k in picks[s]]
     dims = H1Dims(
         der_even=der[0].dim,
         der_odd=der[1].dim,

@@ -61,6 +61,10 @@ class GModule:
 
     def __post_init__(self):
         p = self.algebra.p
+        if len(self.parity) != self.dim or not set(self.parity) <= {0, 1}:
+            raise ValueError(f"need one parity in {{0, 1}} per basis vector, got {self.parity}")
+        if self.highest_weight is not None and len(self.highest_weight) != 2:
+            raise ValueError(f"highest weight must have 2 entries, got {self.highest_weight}")
         acts = []
         for m in self.actions:
             a = np.mod(np.asarray(m, dtype=np.int64), p)
@@ -396,25 +400,13 @@ def case_table_weight_space(p: int, a, b, w: Weight) -> Subspace:
     n = 2 * (t + 1)
     x = residue(b, p)
     s = residue(a + b, p)
-    even_branch, odd_branch = _CASE_TABLE[key]
     rows = []
-    off, cond, ab = even_branch
-    if s == residue(ab, p) and _condition_holds(p, x, cond):
+    for parity, (off, cond, ab) in enumerate(_CASE_TABLE[key]):
         k = residue(b + off, p)
-        if k <= t:
-            row = np.zeros(n, dtype=np.int64)
-            row[_kac_index(t, 0, k)] = 1
-            rows.append(row)
-    off, cond, ab = odd_branch
-    if s == residue(ab, p) and _condition_holds(p, x, cond):
-        k = residue(b + off, p)
-        if k <= t:
-            row = np.zeros(n, dtype=np.int64)
-            row[_kac_index(t, 1, k)] = 1
-            rows.append(row)
-    if not rows:
-        return Subspace.zero(p, n)
-    return Subspace.from_spanning(p, n, np.stack(rows))
+        if s == residue(ab, p) and _condition_holds(p, x, cond) and k <= t:
+            rows.append(_kac_index(t, parity, k))
+    # unit rows at increasing indices (even before odd) are already canonical
+    return Subspace(p, n, np.eye(n, dtype=np.int64)[rows])
 
 
 def gmodule_to_json(m: GModule) -> dict:

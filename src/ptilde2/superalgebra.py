@@ -71,6 +71,10 @@ class Superalgebra:
         n = len(self.labels)
         if arr.shape != (n, n, n):
             raise ValueError(f"structure tensor shape {arr.shape}, expected {(n, n, n)}")
+        if len(self.parity) != n or len(self.zgrade) != n or not set(self.parity) <= {0, 1}:
+            raise ValueError("need one parity in {0, 1} and one Z-grade per basis element")
+        if len(self.cartan) != 2 or not all(0 <= c < n for c in self.cartan):
+            raise ValueError(f"need two Cartan indices in range({n}), got {self.cartan}")
         arr.setflags(write=False)
         object.__setattr__(self, "structure", arr)
 

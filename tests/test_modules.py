@@ -242,6 +242,22 @@ class TestJson:
         with pytest.raises(RepresentationError):
             gmodule_from_json(data, g5)
 
+    @pytest.mark.parametrize(
+        "field, edit, message",
+        [
+            ("parity", lambda x: x[:-1], "one parity in"),
+            ("parity", lambda x: x + [0, 0], "one parity in"),
+            ("parity", lambda x: x[:-1] + [2], "one parity in"),
+            ("lambda", lambda x: x[:1], "highest weight must have 2 entries"),
+        ],
+        ids=["parity-short", "parity-long", "parity-value", "lambda-short"],
+    )
+    def test_import_rejects_a_malformed_field(self, g5, field, edit, message):
+        data = gmodule_to_json(build_kac_module(g5, 0, 3))
+        data[field] = edit(data[field])
+        with pytest.raises(ValueError, match=message):
+            gmodule_from_json(data, g5)
+
 
 def test_grid_dimension_identity():
     # sum of dim K over the grid is p^2 (p + 1)

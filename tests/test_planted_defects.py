@@ -78,6 +78,27 @@ def test_dropped_pair_breaks_the_blocked_solver(monkeypatch, g5):
     assert not h1(g5, km).agrees
 
 
+@pytest.mark.parametrize("weight", [(0, 3), (1, 2)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_one_extra_inner_vector_escapes_the_derivation_space(monkeypatch, g5, weight, parity):
+    # Ider plus one unit vector at a parity-incoherent coordinate: the rank of
+    # Der modulo Ider is then one more than dim Der - dim Ider, the smallest miss
+    km = build_kac_module(g5, *weight)
+    n = km.dim * g5.dim
+    c = np.setdiff1d(np.arange(n), _coherent_columns(g5, km, parity))[0]
+    inner = cohomology.inner_space
+
+    def planted(g, m):
+        spans = list(inner(g, m))
+        spans[parity] = spans[parity] + Subspace(g.p, n, np.eye(n, dtype=np.int64)[c])
+        return tuple(spans)
+
+    monkeypatch.setattr(cohomology, "inner_space", planted)
+    message = f"inner derivations escaped the derivation space \\(parity {parity}\\)"
+    with pytest.raises(cohomology.SolverFailure, match=message):
+        h1(g5, km)
+
+
 @pytest.mark.parametrize("label", ["g*v1", "1*v1"])
 def test_inner_cocycle_is_a_lemma_suite_finding(monkeypatch, g5, label):
     # the outerness check of each cocycle reads the Ider of its own parity

@@ -142,7 +142,7 @@ class TestValidatorDefects:
             parity=parity,
             zgrade=zgrade,
             structure=np.asarray(structure, dtype=np.int64),
-            cartan=(),
+            cartan=(0, 1),
         )
 
     def test_planted_symmetry_defect_reported(self):
@@ -171,11 +171,11 @@ class TestValidatorDefects:
     def test_odd_cartan_reported(self):
         g = Superalgebra(
             p=5,
-            labels=("x",),
-            parity=(1,),
-            zgrade=(0,),
-            structure=np.zeros((1, 1, 1), dtype=np.int64),
-            cartan=(0,),
+            labels=("x", "h"),
+            parity=(1, 0),
+            zgrade=(0, 0),
+            structure=np.zeros((2, 2, 2), dtype=np.int64),
+            cartan=(0, 1),
         )
         kinds = {v.kind for v in validate_superalgebra(g)}
         assert "cartan_parity" in kinds
@@ -215,6 +215,23 @@ class TestJson:
         corrupted[0][0][1] = 3  # [gamma, gamma] suddenly nonzero on h1
         data["structure"] = corrupted
         with pytest.raises(ValueError):
+            superalgebra_from_json(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("zgrade", [-1, 0, 0, 0, 0, 1, 1], "one Z-grade per basis element"),
+            ("parity", [1, 0, 0, 0, 0, 1, 1], "one parity in"),
+            ("parity", [1, 0, 0, 0, 0, 1, 1, 2], "one parity in"),
+            ("cartan", [1], "two Cartan indices"),
+            ("cartan", [1, 9], "two Cartan indices"),
+        ],
+        ids=["zgrade-short", "parity-short", "parity-value", "cartan-short", "cartan-range"],
+    )
+    def test_import_rejects_a_malformed_field(self, g5, field, value, message):
+        data = superalgebra_to_json(g5)
+        data[field] = value
+        with pytest.raises(ValueError, match=message):
             superalgebra_from_json(data)
 
 
