@@ -2,12 +2,14 @@
 suites, and JSON export of the algebra and its modules.
 
 Exit codes: 0 success, 1 verification failure (or an internal solver failure,
-such as a solver-route disagreement), 2 usage error.  Grids are walked in
-lexicographic (a, b) order and cut into batches of consecutive cells, each
-solved as one direct-sum system (cohomology._h1_batch).  Scans distribute the
-batches over worker processes; each worker returns every cell's outcome, and
-the parent emits the rows in order or raises the first failing cell's error,
-so neither the output bytes nor the failure line depend on the worker count.
+such as a solver-route disagreement), 2 usage error.  `scan` and the grid
+suites of `check` share one walker, which builds each Kac module once, in
+lexicographic (a, b) order, and checks it.  A walk that needs h1 is cut into
+batches, each solved as one direct-sum system (cohomology._h1_batch); any
+other goes cell by cell.  A failed build is its cell's finding, and the rest
+of its batch is still solved.  Scans hand batches to worker processes, which
+return every cell's outcome; the parent emits the rows in order or raises the
+first failing cell's error, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .cohomology import (
 )
 from .linalg import check_odd_prime
 from .modules import (
+    RepresentationError,
     _matching_weight_space,
     basis_module_weights,
     build_kac_module,
@@ -83,7 +86,10 @@ def _odd_prime_option(ctx, param, value):
         raise click.BadParameter(str(exc))
 
 
-def _scan_row(km, rep) -> ScanRow:
+def _scan_row(km, outcome) -> ScanRow | SolverFailure:
+    if isinstance(outcome, SolverFailure):
+        return outcome
+    rep = outcome[0]
     a, b = km.highest_weight
     return ScanRow(
         a=a,
@@ -116,24 +122,12 @@ def _grid_batches(p: int) -> list[list[tuple[int, int]]]:
     return batches + [batch] if batch else batches
 
 
-def _h1_cells(p: int, cells: list[tuple[int, int]]) -> list:
-    """(module, h1 outcome) per cell, solved as one batch; see _h1_batch."""
-    g = _algebra_cache(p)
-    modules = [build_kac_module(g, a, b) for a, b in cells]
-    return list(zip(modules, _h1_batch(g, modules)))
-
-
-def _scan_batch(args: tuple[int, list[tuple[int, int]]]) -> list:
-    """The ScanRow of each cell of one batch, or the cell's SolverFailure."""
-    return [
-        outcome if isinstance(outcome, SolverFailure) else _scan_row(km, outcome[0])
-        for km, outcome in _h1_cells(*args)
-    ]
-
-
 @functools.lru_cache(maxsize=None)
 def _algebra_cache(p: int):
     return build_p_tilde_2(p)
+
+
+_grade_zero_cache = functools.lru_cache(maxsize=None)(grade_zero_subalgebra)
 
 
 def _worker_count(jobs: int, batches: int) -> int:
@@ -141,22 +135,46 @@ def _worker_count(jobs: int, batches: int) -> int:
     return min(jobs, batches, os.cpu_count() or 1)
 
 
-def scan_rows(p: int, jobs: int = 1) -> list[ScanRow]:
-    """One row per (a, b) in lexicographic order, identical for any job count.
+def _walk_batch(p: int, cells: list[tuple[int, int]], check, solve: bool) -> list:
+    """_walk over the cells of one batch."""
+    g = _algebra_cache(p)
+    built = []
+    for a, b in cells:
+        try:
+            built.append(build_kac_module(g, a, b))
+        except RepresentationError as exc:
+            built.append(exc)
+    modules = [km for km in built if not isinstance(km, Exception)]
+    outcomes = iter(_h1_batch(g, modules) if solve and modules else [None] * len(modules))
+    return [km if isinstance(km, Exception) else check(km, next(outcomes)) for km in built]
 
-    Workers take whole batches and return every cell's outcome, so the
-    SolverFailure raised is always that of the first failing cell in order.
+
+def _walk(p: int, check, solve: bool, jobs: int = 1) -> list:
+    """check(km, outcome) per (a, b) in lexicographic order, or that cell's RepresentationError.
+
+    A solved walk is cut by _grid_batches and passes each cell's h1 outcome;
+    any other passes None, cell by cell, so each check follows its own build.
     """
-    batches = [(p, batch) for batch in _grid_batches(p)]
+    batches = _grid_batches(p) if solve else [[(a, b)] for a in range(p) for b in range(p)]
+    tasks = [(p, batch, check, solve) for batch in batches]
     workers = _worker_count(jobs, len(batches))
     if workers > 1:
         with Pool(workers) as pool:
-            outcomes = pool.map(_scan_batch, batches)
+            results = pool.starmap(_walk_batch, tasks)
     else:
-        outcomes = [_scan_batch(batch) for batch in batches]
-    rows = [row for batch in outcomes for row in batch]
+        results = [_walk_batch(*task) for task in tasks]
+    return [out for batch in results for out in batch]
+
+
+def scan_rows(p: int, jobs: int = 1) -> list[ScanRow]:
+    """One row per (a, b) in lexicographic order, identical for any job count.
+
+    The error raised is always that of the first failing cell in order: its
+    RepresentationError if its build failed, else its SolverFailure.
+    """
+    rows = _walk(p, _scan_row, solve=True, jobs=jobs)
     for row in rows:
-        if isinstance(row, SolverFailure):
+        if isinstance(row, Exception):
             raise row
     return rows
 
@@ -280,96 +298,115 @@ def suite_algebra(p: int) -> list[str]:
     return failures
 
 
+def _module_findings(km, outcome) -> list[str]:
+    """The highest-weight laws of the cell's simple g_0-module, and dim K."""
+    failures = []
+    p, (a, b) = km.p, km.highest_weight
+    g0 = _grade_zero_cache(km.algebra)
+    simple = build_simple_module(g0, a, b)
+    v0 = np.zeros(simple.dim, dtype=np.int64)
+    v0[0] = 1
+    if np.any(simple.act(g0.index("alpha"), v0)):
+        failures.append(f"alpha v0 != 0 at ({a},{b})")
+    if not np.array_equal(simple.act(g0.index("h1"), v0), (a % p) * v0 % p):
+        failures.append(f"h1 v0 != a v0 at ({a},{b})")
+    if not np.array_equal(simple.act(g0.index("h2"), v0), (b % p) * v0 % p):
+        failures.append(f"h2 v0 != b v0 at ({a},{b})")
+    if km.dim != 2 * (km.top_index + 1):
+        failures.append(f"dim K({a},{b}) = {km.dim}")
+    return failures
+
+
+def _weight_findings(km, outcome) -> list[str]:
+    """The closed-form basis weights of K(a, b) and the case-table oracle."""
+    failures = []
+    p, (a, b), t = km.p, km.highest_weight, km.top_index
+    wts = basis_module_weights(km)
+    for k in range(t + 1):
+        if wts[k] != (residue(a + k, p), residue(b - k, p)):
+            failures.append(f"weight of even basis {k} wrong at ({a},{b})")
+        if wts[t + 1 + k] != (residue(a + k + 1, p), residue(b - k + 1, p)):
+            failures.append(f"weight of odd basis {k} wrong at ({a},{b})")
+    weights = np.array(wts)
+    for w in root_target_weights(p):
+        space = _matching_weight_space(p, weights, w)
+        if space != case_table_weight_space(p, a, b, w):
+            failures.append(f"case-table mismatch at (p={p}, a={a}, b={b}, w={w})")
+    return failures
+
+
+def _lemma_findings(km, outcome) -> list[str]:
+    """The derivation lemmas at one cell, over the WDer and Ider of its h1."""
+    g, (a, b) = km.algebra, km.highest_weight
+    if isinstance(outcome, SolverFailure):
+        return [f"solver failure at ({a},{b}): {outcome}"]
+    failures = []
+    _, wder, ider = outcome
+    bad = cartan_values_annihilated(g, km, cochains=wder[0].basis + wder[1].basis)
+    if bad:
+        failures.append(f"Cartan values not annihilated at ({a},{b}): {bad[:3]}")
+    try:
+        cocycles = outer_cocycles(g.p, a, b)
+    except ValueError:
+        return failures
+    for pos, c in enumerate(cocycles):
+        residuals = [
+            (i, j)
+            for i in range(g.dim)
+            for j in range(g.dim)
+            if np.any(derivation_residual(g, km, c, i, j))
+        ]
+        if residuals:
+            failures.append(f"cocycle {pos} at ({a},{b}) has residuals {residuals[:3]}")
+        if ider[c.parity].contains(c.flat()):
+            failures.append(f"cocycle {pos} at ({a},{b}) is inner")
+    return failures
+
+
+# the per-cell check of each grid suite; the lemma check needs the cell's h1
+_CELL_CHECKS = {"module": _module_findings, "weights": _weight_findings, "lemmas": _lemma_findings}
+
+
+def _grid_suites(p: int, names: list[str]) -> list[list[str]]:
+    """The findings of each named grid suite over one walk, solved if it has the lemmas.
+
+    A failed build is its cell's one finding in every suite.  The lemma suite
+    opens with the residue comparisons and the shift table, which are per b.
+    """
+    found = {name: [] for name in names}
+    if "lemmas" in found:
+        for b in range(p):
+            for name, (lhs, rhs) in residue_comparisons(p, b).items():
+                if lhs != rhs:
+                    found["lemmas"].append(f"residue comparison {name} fails at b={b}")
+            for name, (direct, tabulated) in residue_shift_table(p, b).items():
+                if direct != tabulated:
+                    found["lemmas"].append(f"shift table row {name} fails at b={b}")
+
+    def checks(km, outcome):
+        return [_CELL_CHECKS[name](km, outcome) for name in names]
+
+    for cell, out in enumerate(_walk(p, checks, solve="lemmas" in found)):
+        if isinstance(out, RepresentationError):
+            out = [[f"K({cell // p},{cell % p}) failed: {out}"]] * len(names)
+        for name, part in zip(names, out):
+            found[name] += part
+    return list(found.values())
+
+
 def suite_module(p: int) -> list[str]:
     """Representation law for every Kac module and the highest-weight laws."""
-    failures = []
-    g = _algebra_cache(p)
-    g0 = grade_zero_subalgebra(g)
-    for a in range(p):
-        for b in range(p):
-            try:
-                km = build_kac_module(g, a, b)
-            except Exception as exc:
-                failures.append(f"K({a},{b}) failed: {exc}")
-                continue
-            simple = build_simple_module(g0, a, b)
-            v0 = np.zeros(simple.dim, dtype=np.int64)
-            v0[0] = 1
-            if np.any(simple.act(g0.index("alpha"), v0)):
-                failures.append(f"alpha v0 != 0 at ({a},{b})")
-            if not np.array_equal(simple.act(g0.index("h1"), v0), (a % p) * v0 % p):
-                failures.append(f"h1 v0 != a v0 at ({a},{b})")
-            if not np.array_equal(simple.act(g0.index("h2"), v0), (b % p) * v0 % p):
-                failures.append(f"h2 v0 != b v0 at ({a},{b})")
-            if km.dim != 2 * (km.top_index + 1):
-                failures.append(f"dim K({a},{b}) = {km.dim}")
-    return failures
+    return _grid_suites(p, ["module"])[0]
 
 
 def suite_weights(p: int) -> list[str]:
     """Closed-form basis weights and the root-weight case-table oracle."""
-    failures = []
-    g = _algebra_cache(p)
-    for a in range(p):
-        for b in range(p):
-            km = build_kac_module(g, a, b)
-            wts = basis_module_weights(km)
-            t = km.top_index
-            for k in range(t + 1):
-                if wts[k] != (residue(a + k, p), residue(b - k, p)):
-                    failures.append(f"weight of even basis {k} wrong at ({a},{b})")
-                if wts[t + 1 + k] != (residue(a + k + 1, p), residue(b - k + 1, p)):
-                    failures.append(f"weight of odd basis {k} wrong at ({a},{b})")
-            weights = np.array(wts)
-            for w in root_target_weights(p):
-                space = _matching_weight_space(p, weights, w)
-                if space != case_table_weight_space(p, a, b, w):
-                    failures.append(f"case-table mismatch at (p={p}, a={a}, b={b}, w={w})")
-    return failures
+    return _grid_suites(p, ["weights"])[0]
 
 
 def suite_lemmas(p: int) -> list[str]:
-    """Residue-comparison equivalences, the shift table, and the derivation lemmas.
-
-    Each cell is solved once: the Cartan and outer-cocycle checks reuse the
-    WDer and Ider of the cell's h1 computation.  WDer + Ider = Der needs no
-    solve of its own, since h1 already proves it: both spaces are checked to
-    lie in Der, and dim(WDer + Ider) = dim Der is its route check.
-    """
-    failures = []
-    for b in range(p):
-        for name, (lhs, rhs) in residue_comparisons(p, b).items():
-            if lhs != rhs:
-                failures.append(f"residue comparison {name} fails at b={b}")
-        for name, (direct, tabulated) in residue_shift_table(p, b).items():
-            if direct != tabulated:
-                failures.append(f"shift table row {name} fails at b={b}")
-    g = _algebra_cache(p)
-    for batch in _grid_batches(p):
-        for (a, b), (km, outcome) in zip(batch, _h1_cells(p, batch)):
-            if isinstance(outcome, SolverFailure):
-                failures.append(f"solver failure at ({a},{b}): {outcome}")
-                continue
-            _, wder, ider = outcome
-            bad = cartan_values_annihilated(g, km, cochains=wder[0].basis + wder[1].basis)
-            if bad:
-                failures.append(f"Cartan values not annihilated at ({a},{b}): {bad[:3]}")
-            try:
-                cocycles = outer_cocycles(p, a, b)
-            except ValueError:
-                continue
-            for pos, c in enumerate(cocycles):
-                residuals = [
-                    (i, j)
-                    for i in range(g.dim)
-                    for j in range(g.dim)
-                    if np.any(derivation_residual(g, km, c, i, j))
-                ]
-                if residuals:
-                    failures.append(f"cocycle {pos} at ({a},{b}) has residuals {residuals[:3]}")
-                if ider[c.parity].contains(c.flat()):
-                    failures.append(f"cocycle {pos} at ({a},{b}) is inner")
-    return failures
+    """Residue-comparison equivalences, the shift table, and the derivation lemmas."""
+    return _grid_suites(p, ["lemmas"])[0]
 
 
 _SUITES = {
@@ -382,17 +419,16 @@ _SUITES = {
 
 @main.command("check")
 @click.option("--p", required=True, type=int, callback=_odd_prime_option)
-@click.option(
-    "--suite",
-    type=click.Choice(["algebra", "module", "weights", "lemmas", "all"]),
-    default="all",
-)
+@click.option("--suite", type=click.Choice([*_SUITES, "all"]), default="all")
 def cmd_check(p, suite):
     """Run verification suites across the whole (a, b) grid."""
-    names = list(_SUITES) if suite == "all" else [suite]
+    if suite == "all":
+        names = ["algebra", *_CELL_CHECKS]
+        results = [_SUITES["algebra"](p), *_grid_suites(p, list(_CELL_CHECKS))]
+    else:
+        names, results = [suite], [_SUITES[suite](p)]
     any_failed = False
-    for name in names:
-        failures = _SUITES[name](p)
+    for name, failures in zip(names, results):
         if failures:
             any_failed = True
             click.echo(f"suite {name}: FAIL ({len(failures)} findings)")

@@ -19,7 +19,14 @@ from functools import partial
 import numpy as np
 
 from .linalg import Subspace, check_odd_prime
-from .superalgebra import P2_LABELS, Superalgebra, Weight, _diagonal_weights, _weight_spaces
+from .superalgebra import (
+    P2_LABELS,
+    Superalgebra,
+    Weight,
+    _diagonal_weights,
+    _json_integers,
+    _weight_spaces,
+)
 
 __all__ = [
     "RepresentationError",
@@ -425,9 +432,9 @@ def gmodule_from_json(data: dict, algebra: Superalgebra) -> GModule:
     m = GModule(
         algebra=algebra,
         labels=tuple(data["labels"]),
-        parity=tuple(int(x) for x in data["parity"]),
-        actions=[np.asarray(a, dtype=np.int64) for a in data["actions"]],
-        highest_weight=tuple(int(x) for x in lam) if lam else None,
+        parity=tuple(_json_integers(data["parity"], "parity", 1).tolist()),
+        actions=list(_json_integers(data["actions"], "actions", 3)),
+        highest_weight=None if lam is None else tuple(_json_integers(lam, "lambda", 1).tolist()),
     )
     m.validate()
     return m

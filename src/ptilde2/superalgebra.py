@@ -281,15 +281,26 @@ def superalgebra_to_json(g: Superalgebra) -> dict:
     }
 
 
+def _json_integers(value, field: str, ndim: int) -> np.ndarray:
+    """An int64 array with ndim axes from nested lists of JSON integers, or from
+    an integer array; a float, string, boolean or out-of-range entry raises
+    ValueError rather than being truncated, coerced or overflowing."""
+    arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    exact = arr.dtype.kind in "iu" or all(type(x) is int and abs(x) < 2**63 for x in arr.flat)
+    if arr.ndim != ndim or not exact:
+        raise ValueError(f"{field} must be integers in {ndim} axes, each of size below 2**63")
+    return arr.astype(np.int64)
+
+
 def superalgebra_from_json(data: dict) -> Superalgebra:
     """Rebuild from the JSON dict; all axioms are re-validated on import."""
     g = Superalgebra(
-        p=int(data["p"]),
+        p=int(_json_integers(data["p"], "p", 0)),
         labels=tuple(data["labels"]),
-        parity=tuple(int(x) for x in data["parity"]),
-        zgrade=tuple(int(x) for x in data["zgrade"]),
-        structure=np.asarray(data["structure"], dtype=np.int64),
-        cartan=tuple(int(x) for x in data["cartan"]),
+        parity=tuple(_json_integers(data["parity"], "parity", 1).tolist()),
+        zgrade=tuple(_json_integers(data["zgrade"], "zgrade", 1).tolist()),
+        structure=_json_integers(data["structure"], "structure", 3),
+        cartan=tuple(_json_integers(data["cartan"], "cartan", 1).tolist()),
     )
     report = validate_superalgebra(g)
     if report:

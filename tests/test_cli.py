@@ -196,6 +196,30 @@ class TestCheckCommand:
         assert result.exit_code == 0, result.output
         assert result.output.count("PASS") == 4
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_all_is_the_single_suites_in_turn(self, runner, p):
+        single = [
+            runner.invoke(main, ["check", "--p", str(p), "--suite", suite])
+            for suite in ["algebra", "module", "weights", "lemmas"]
+        ]
+        every = runner.invoke(main, ["check", "--p", str(p), "--suite", "all"])
+        assert every.stdout == "".join(result.stdout for result in single)
+        assert every.exit_code == max(result.exit_code for result in single)
+
+    def test_one_kac_build_per_cell(self, runner, monkeypatch):
+        # the module, weights and lemma suites share one walk under --suite all
+        built = []
+        real = cli.build_kac_module
+
+        def counted(g, a, b):
+            built.append((a, b))
+            return real(g, a, b)
+
+        monkeypatch.setattr(cli, "build_kac_module", counted)
+        result = runner.invoke(main, ["check", "--p", "5"])
+        assert result.exit_code == 0, result.output
+        assert sorted(built) == [(a, b) for a in range(5) for b in range(5)]
+
     def test_failures_set_exit_code(self, runner, monkeypatch):
         from ptilde2 import cli
 

@@ -249,8 +249,21 @@ class TestJson:
             ("parity", lambda x: x + [0, 0], "one parity in"),
             ("parity", lambda x: x[:-1] + [2], "one parity in"),
             ("lambda", lambda x: x[:1], "highest weight must have 2 entries"),
+            ("lambda", lambda x: [0.5, 3], "lambda must be integers"),
+            ("lambda", lambda x: [], "highest weight must have 2 entries"),
+            ("parity", lambda x: [0.7] + x[1:], "parity must be integers"),
+            ("actions", lambda x: [[[1.5] + x[0][0][1:]] + x[0][1:]] + x[1:], "actions must be"),
         ],
-        ids=["parity-short", "parity-long", "parity-value", "lambda-short"],
+        ids=[
+            "parity-short",
+            "parity-long",
+            "parity-value",
+            "lambda-short",
+            "lambda-float",
+            "lambda-empty",
+            "parity-float",
+            "action-float",
+        ],
     )
     def test_import_rejects_a_malformed_field(self, g5, field, edit, message):
         data = gmodule_to_json(build_kac_module(g5, 0, 3))

@@ -56,6 +56,28 @@ def test_sign_flip_is_a_module_suite_finding(monkeypatch):
     assert "K(0,3) failed: representation law fails" in result.output
 
 
+@pytest.mark.parametrize("suite", ["weights", "lemmas"])
+def test_sign_flip_is_a_finding_of_every_grid_suite(monkeypatch, suite):
+    # the failed build is caught for its own cell; the rest of its batch is still checked
+    monkeypatch.setattr(modules, "KacModule", flipped_kac("alpha", 0, 1))
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", suite])
+    assert result.exit_code == 1
+    assert f"suite {suite}: FAIL (1 findings)" in result.output
+    assert "K(0,3) failed: representation law fails" in result.output
+
+
+def test_sign_flip_is_one_finding_per_grid_suite_of_the_shared_walk(monkeypatch):
+    monkeypatch.setattr(modules, "KacModule", flipped_kac("alpha", 0, 1))
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "all"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0] == "suite algebra: PASS"
+    for k, suite in enumerate(["module", "weights", "lemmas"]):
+        assert lines[1 + 2 * k] == f"suite {suite}: FAIL (1 findings)"
+        assert lines[2 + 2 * k].startswith("  K(0,3) failed: representation law fails")
+    assert len(lines) == 7
+
+
 def test_dropped_pair_breaks_the_blocked_solver(monkeypatch, g5):
     # only the (gamma, gamma) pair pins this odd derivation down at K(1, 1)
     km = build_kac_module(g5, 1, 1)

@@ -225,8 +225,37 @@ class TestJson:
             ("parity", [1, 0, 0, 0, 0, 1, 1, 2], "one parity in"),
             ("cartan", [1], "two Cartan indices"),
             ("cartan", [1, 9], "two Cartan indices"),
+            ("p", 5.5, "p must be integers"),
+            ("p", "5", "p must be integers"),
+            ("p", 2**70, "p must be integers"),
+            ("cartan", [1.9, 2], "cartan must be integers"),
+            ("parity", [True, False, False, False, False, True, True, True], "parity must be"),
+            ("parity", [1.0, 0, 0, 0, 0, 1, 1, 1], "parity must be"),
+            ("zgrade", [-1.5, 0, 0, 0, 0, 1, 1, 1], "zgrade must be"),
+            (
+                "structure",
+                [
+                    [[0.5 if i == j == k == 0 else 0 for k in range(8)] for j in range(8)]
+                    for i in range(8)
+                ],
+                "structure must be",
+            ),
         ],
-        ids=["zgrade-short", "parity-short", "parity-value", "cartan-short", "cartan-range"],
+        ids=[
+            "zgrade-short",
+            "parity-short",
+            "parity-value",
+            "cartan-short",
+            "cartan-range",
+            "p-float",
+            "p-string",
+            "p-past-int64",
+            "cartan-float",
+            "parity-bool",
+            "parity-float",
+            "zgrade-float",
+            "structure-float",
+        ],
     )
     def test_import_rejects_a_malformed_field(self, g5, field, value, message):
         data = superalgebra_to_json(g5)
