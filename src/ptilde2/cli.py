@@ -2,14 +2,14 @@
 suites, and JSON export of the algebra and its modules.
 
 Exit codes: 0 success, 1 verification failure (or an internal solver failure,
-such as a solver-route disagreement), 2 usage error.  `scan` and the grid
-suites of `check` share one walker, which builds each Kac module once, in
-lexicographic (a, b) order, and checks it.  A walk that needs h1 is cut into
-batches, each solved as one direct-sum system (cohomology._h1_batch); any
-other goes cell by cell.  A failed build is its cell's finding, and the rest
-of its batch is still solved.  Scans hand batches to worker processes, which
-return every cell's outcome; the parent emits the rows in order or raises the
-first failing cell's error, so the output does not depend on the worker count.
+such as a solver-route disagreement, or a failed Kac build), 2 usage error.
+`scan` and the grid suites of `check` share one walker, which builds each Kac
+module once, in lexicographic (a, b) order, and checks it.  A walk that needs
+h1 is cut into batches, each solved as one direct-sum system
+(cohomology._h1_batch); any other goes cell by cell.  A failed build is its
+cell's finding, and the rest of its batch is still solved.  Scans hand batches
+to worker processes, which return every cell's outcome; the parent emits the
+rows in order or raises the first failing cell's error, for any worker count.
 """
 
 from __future__ import annotations
@@ -193,7 +193,20 @@ def scan_summary(p: int, rows: list[ScanRow]) -> dict:
     return {"h1_counts": counts, "disagreements": disagreements, "clause_overlaps": overlaps}
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: a failed solve or Kac build is one stderr line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SolverFailure as exc:
+            click.echo(f"internal solver failure: {exc}", err=True)
+        except RepresentationError as exc:
+            click.echo(f"module build failed: {exc}", err=True)
+        sys.exit(1)
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact H1 computations for the gl(2,2) supermatrix algebra (A B; C -A^T)."""
 
@@ -207,11 +220,7 @@ def cmd_h1(p, a, b, fmt):
     """Compute dim H1 for the Kac module with highest weight (a, b)."""
     g = _algebra_cache(p)
     km = build_kac_module(g, a, b)
-    try:
-        rep = h1(g, km)
-    except SolverFailure as exc:
-        click.echo(f"internal solver failure: {exc}", err=True)
-        sys.exit(1)
+    rep = h1(g, km)
     if fmt == "json":
         click.echo(json.dumps(report_to_json(rep, g, km), indent=2))
         return
@@ -236,11 +245,7 @@ def cmd_h1(p, a, b, fmt):
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_scan(p, out, jobs):
     """Scan the full (a, b) grid; emit one row per weight plus a summary."""
-    try:
-        rows = scan_rows(p, jobs)
-    except SolverFailure as exc:
-        click.echo(f"internal solver failure: {exc}", err=True)
-        sys.exit(1)
+    rows = scan_rows(p, jobs)
     summary = scan_summary(p, rows)
     if out == "csv":
         click.echo(CSV_HEADER)

@@ -7,36 +7,36 @@ parity-f cochain phi is a derivation when, for all homogeneous x, y,
     phi([x, y]) = (-1)^{f|x|} x phi(y) - (-1)^{|y|(f+|x|)} y phi(x).
 
 The identity is generated for all 64 ordered basis pairs (the redundancy is
-cheap and guards against sign slips), as sparse entries.  The system is graded
-by cochain weight: the coordinate phi(x_k)_r has weight wt(r) - root(k), and
-every equation of the pair (i, j) at module row r has weight
-wt(r) - root(i) - root(j), all mod p; an entry that crosses weights raises.
-Each parity's system is assembled and weight-checked once per cell, and Der
-and WDer are two column sets over it: the parity-coherent coordinates, and
-those of them whose weight is 0.  Cells are solved in batches: Der(g, M_1 +
-... + M_k) is the direct sum of the Der(g, M_c), so a batch is one system
-whose coordinates are offset cell after cell and whose weight grading is
-refined by cell, and its blocks are exactly the blocks of its cells.  All
-weight blocks of one solve (one route, one parity, the whole batch) are
-stacked into one zero-padded array, each with its columns reversed, and
-row-reduced together by one batched elimination; the canonical block kernels
-are read straight off the reduced stack, merged by leading column and split
-back into one canonical basis per cell.  A single cell is the batch of one,
-and everything after the solve is per cell.  All subspaces live in the
-flattened coordinate space of cochain matrices, flat index (row r, column j)
--> r * dim(g) + j, so sums and membership tests compose across solver
-routes.  Membership is the residual w - w[P] B of a canonical basis B with
-pivot columns P, formed from the nonzeros of B.  The rows of a space that
-are independent modulo Ider are the pivot columns of one RREF of their
-transposed residuals modulo Ider, and h1 reads three facts off them: the
-Der rows picked are the coset representatives of Der/Ider, there are
+cheap and guards against sign slips), as the sparse entries of one system per
+cell for both parities.  The coordinate phi(x_k)_r belongs to the cochains of
+parity |r| + |x_k| and has weight wt(r) - root(k); the equation of the pair
+(i, j) at module row r has the signs of parity f = |r| + |x_i| + |x_j| and
+weight wt(r) - root(i) - root(j), mod p.  So every row is parity-pure, and an
+entry that crosses weights or parities raises.  Der and WDer are two column
+sets over the system: every coordinate, and those of weight 0.  Cells are
+solved in batches: Der(g, M_1 + ... + M_k) is the direct sum of the
+Der(g, M_c), so Der and WDer of every cell of a batch are the summands of one
+system, whose blocks, keyed by (summand, weight, parity), are exactly those
+of its summands.  One batched elimination reduces the zero-padded stack of
+all blocks, each with its columns reversed; the canonical block kernels are
+read straight off it, merged by leading column, and split into one canonical
+basis per summand, whose rows then split into even and odd parts by the
+parity of their leading coordinates.  A single cell is the batch of one, and
+everything after the solve is per cell and per parity.  All subspaces live
+in the flattened coordinate space of cochain matrices, flat index (row r,
+column j) -> r * dim(g) + j, so sums and membership tests compose across
+solver routes.  Membership is the residual w - w[P] B of a canonical basis B
+with pivot columns P, formed from the nonzeros of B.  The rows of a space
+that are independent modulo Ider are the pivot columns of one RREF of their
+transposed residuals modulo Ider, and h1 reads three facts off them: the Der
+rows picked are the coset representatives of Der/Ider, there are
 dim Der - dim Ider of them exactly when Ider lies in Der, and the number of
 WDer rows picked is the weight route.
 
 h1 always runs two independent routes: dim Der - dim Ider, and
 dim WDer - dim(WDer meet Ider), computed dimension-only as the rank of WDer
-modulo Ider, dim(WDer + Ider) - dim Ider.  WDer has its own solve over the
-shared system, not a slice of Der's weight-0 block.  With both spaces
+modulo Ider, dim(WDer + Ider) - dim Ider.  WDer has its own blocks in the
+batch's elimination, not a slice of Der's weight-0 block.  With both spaces
 checked to lie in Der, the routes agree exactly when WDer + Ider = Der, the
 paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0; any
 disagreement, like any other broken solver invariant, raises SolverFailure.
@@ -179,26 +179,25 @@ def derivation_residual(g: Superalgebra, m: GModule, phi: Cochain, i: int, j: in
     return r % p
 
 
+def _coordinate_parities(g: Superalgebra, m: GModule) -> np.ndarray:
+    """Parity |r| + |x_k| of each flat coordinate phi(x_k)_r: its cochains' parity."""
+    return np.add.outer(np.asarray(m.parity), np.asarray(g.parity)).reshape(-1) % 2
+
+
 def _coherent_columns(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
-    mp = np.asarray(m.parity)
-    ap = np.asarray(g.parity)
-    mask = mp[:, None] == (ap[None, :] + parity) % 2
-    return np.nonzero(mask.reshape(-1))[0]
+    return np.flatnonzero(_coordinate_parities(g, m) == parity)
 
 
-def _system_entries(
-    g: Superalgebra, m: GModule, parity: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 64-pair derivation system as sparse (row, column, value) entries.
+def _system_entries(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 64-pair derivation system of both parities as sparse (row, column, value) entries.
 
     Row (i * dim g + j) * dim M + r is module row r of the identity on the
-    pair (i, j), and column r * dim g + k is the flat coordinate phi(x_k)_r.
-    Entries at the same position add.
+    pair (i, j), with the signs of its parity f = |r| + |x_i| + |x_j|, and
+    column r * dim g + k is the flat coordinate phi(x_k)_r.  Entries at the
+    same position add.
     """
     dm, dg = m.dim, g.dim
     par = np.asarray(g.parity)
-    s1 = np.where(parity * par % 2, -1, 1)
-    s2 = np.where(par[None, :] * (parity + par[:, None]) % 2, -1, 1)  # [i, j]
     rs = np.arange(dm)
     js = np.arange(dg)
     # phi([x_i, x_j]) = sum_k c_ijk phi(x_k), at every module row r
@@ -210,14 +209,15 @@ def _system_entries(
     acts = np.stack(m.actions)
     ax, ar, ac = np.nonzero(acts)
     av = acts[ax, ar, ac][:, None]
-    # - s1(i) x_i phi(x_j), for every j
+    x_par, r_par = par[ax][:, None], np.asarray(m.parity)[ar][:, None]
+    # - (-1)^{f|x_i|} x_i phi(x_j), for every j
     i_rows = (ax[:, None] * dg + js) * dm + ar[:, None]
     i_cols = ac[:, None] * dg + js
-    i_vals = np.broadcast_to(-s1[ax][:, None] * av, i_rows.shape)
-    # + s2(i, j) x_j phi(x_i), for every i
+    i_vals = np.where(x_par * (r_par + x_par + par) % 2, 1, -1) * av
+    # + (-1)^{|x_j|(f+|x_i|)} x_j phi(x_i), for every i, where f + |x_i| = |r| + |x_j|
     j_rows = (js * dg + ax[:, None]) * dm + ar[:, None]
     j_cols = ac[:, None] * dg + js
-    j_vals = s2.T[ax] * av
+    j_vals = np.broadcast_to(np.where(x_par * (r_par + x_par) % 2, -1, 1) * av, j_rows.shape)
     return (
         np.concatenate([c_rows.ravel(), i_rows.ravel(), j_rows.ravel()]),
         np.concatenate([c_cols.ravel(), i_cols.ravel(), j_cols.ravel()]),
@@ -251,66 +251,62 @@ def _weight_codes(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray, 
 
 
 class _System(NamedTuple):
-    """One parity of the derivation system of (g, M), shared by every solve over it."""
+    """The derivation system of (g, M), both parities, shared by every solve over it."""
 
     g: Superalgebra
     m: GModule
-    parity: int
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]  # checked to be weight-graded
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]  # checked to be weight- and parity-graded
     coord_wt: np.ndarray  # weight code of each flat coordinate
+    coord_par: np.ndarray  # parity of each flat coordinate
     diagonal: bool  # whether the Cartan action is diagonal
-    coherent: np.ndarray  # the parity-coherent coordinates: Der's free columns
 
 
-def _graded_system(
-    g: Superalgebra, m: GModule, parity: int, codes: tuple[np.ndarray, np.ndarray, bool]
-) -> _System:
-    """Assemble the system once, given _weight_codes(g, m), and check its grading."""
-    row_wt, coord_wt, diagonal = codes
-    rows, cols, vals = _system_entries(g, m, parity)
+def _graded_system(g: Superalgebra, m: GModule) -> _System:
+    """Assemble the system once, and check that it is graded by weight and by parity."""
+    row_wt, coord_wt, diagonal = _weight_codes(g, m)
+    rows, cols, vals = _system_entries(g, m)
     if np.any(row_wt[rows] != coord_wt[cols]):
         raise ValueError("the derivation system mixes weights: the module is not weight-graded")
-    coherent = _coherent_columns(g, m, parity)
-    return _System(g, m, parity, (rows, cols, vals), coord_wt, diagonal, coherent)
+    coord_par = _coordinate_parities(g, m)
+    # row (i, j, r) has parity |x_i| + |x_j| + |r|, the parity of coordinate (r, j) plus |x_i|
+    row_par = np.add.outer(g.parity, coord_par.reshape(m.dim, g.dim).T).reshape(-1) % 2
+    if np.any(row_par[rows] != coord_par[cols]):
+        raise ValueError("the derivation system mixes parities: the module is not parity-graded")
+    return _System(g, m, (rows, cols, vals), coord_wt, coord_par, diagonal)
 
 
 def _weight_zero_columns(system: _System) -> np.ndarray:
-    """WDer's free columns: the coherent coordinates of weight wt(r) - root(k) = 0."""
+    """WDer's free columns: the coordinates of weight wt(r) - root(k) = 0."""
     if not system.diagonal:
         raise ValueError("weight-derivations need a Cartan action diagonal on both bases")
-    return system.coherent[system.coord_wt[system.coherent] == 0]
+    return np.flatnonzero(system.coord_wt == 0)
 
 
-def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> list[CochainSpace]:
-    """Kernels of one parity's derivation systems of several cells, each
-    restricted to its cell's free coordinates.
+def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> list[Subspace]:
+    """Kernels of several derivation systems, each restricted to its free coordinates.
 
-    The cells form one direct-sum system, which never exists as one matrix.
-    Cell c's coordinates are offset past those of the cells before it and its
-    weight codes by c * p^2, so each weight block lies in one cell and is the
-    block that cell alone would have.  Rows are keyed by (block, row), so they
-    need no offset.  The entries are grouped by block into one zero-padded
-    (blocks, rows, cols) stack, each block with its columns in descending flat
-    order, and the whole stack is row-reduced by a single batched
-    elimination.  The reversed columns let each block's canonical kernel be
-    read straight off its reduced form.  The block kernels have disjoint
-    supports, so sorting their rows by leading column gives, cell after cell,
-    each cell's canonical basis.
+    Each (system, column set) pair is one summand of a direct-sum system,
+    which never exists as one matrix.  Summand c's coordinates are offset
+    past those of the summands before it, and blocks are keyed by (c, weight,
+    parity), so each lies in one summand and is the block it alone would
+    have.  Rows are keyed by (block, row), so they need no offset.  The
+    entries are grouped by block into one zero-padded (blocks, rows, cols)
+    stack, each block with its columns in descending flat order, and the
+    whole stack is row-reduced by a single batched elimination.  The reversed
+    columns let each block's canonical kernel be read straight off its
+    reduced form.  The block kernels have disjoint supports, so sorting their
+    rows by leading column gives, summand after summand, each summand's
+    canonical basis.
     """
-    g, parity = systems[0].g, systems[0].parity
-    p = g.p
-    shapes = [(system.m.dim, g.dim) for system in systems]
-    sizes = np.array([dm * dg for dm, dg in shapes])
+    p, dg = systems[0].g.p, systems[0].g.dim
+    sizes = np.array([system.coord_wt.size for system in systems])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     n = int(offsets[-1])
     free_cols = np.concatenate([cols + offsets[c] for c, cols in enumerate(columns)])
     if free_cols.size == 0:
-        return [
-            CochainSpace(parity=parity, space=Subspace.zero(p, size), shape=shape)
-            for size, shape in zip(sizes, shapes)
-        ]
-    coord_wt = np.concatenate(
-        [system.coord_wt + c * p * p for c, system in enumerate(systems)]
+        return [Subspace.zero(p, size) for size in sizes]
+    coord_block = np.concatenate(
+        [(system.coord_wt + c * p * p) * 2 + system.coord_par for c, system in enumerate(systems)]
     )
     free = np.zeros(n, dtype=bool)
     free[free_cols] = True
@@ -321,10 +317,10 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
     keep = free[cols]
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
-    # blocks by weight; inside a block, position q holds the q-th largest column
-    order = np.lexsort((-free_cols, coord_wt[free_cols]))
+    # blocks by code; inside a block, position q holds the q-th largest column
+    order = np.lexsort((-free_cols, coord_block[free_cols]))
     codes, starts, widths = np.unique(
-        coord_wt[free_cols[order]], return_index=True, return_counts=True
+        coord_block[free_cols[order]], return_index=True, return_counts=True
     )
     n_blocks = widths.size
     col_block = np.repeat(np.arange(n_blocks), widths)
@@ -337,7 +333,7 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
     pos_of[free_cols[order]] = col_pos
 
     # rows numbered within their block, through one sort of (block, row) keys
-    n_rows = g.dim * int(sizes.max())
+    n_rows = dg * int(sizes.max())
     keys, entry_key = np.unique(block_of[cols] * n_rows + rows, return_inverse=True)
     key_block = keys // n_rows
     heights = np.bincount(key_block, minlength=n_blocks)
@@ -348,10 +344,10 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
 
     pivot = _rref_batched(stack, p)
     free_b, free_c, vectors = _reversed_kernels(stack, pivot, widths, p)
-    # each kernel row in its cell's own coordinates, as wide as the widest cell
+    # each kernel row in its summand's own coordinates, as wide as the widest summand
     width = int(sizes.max())
-    cell = codes[free_b] // (p * p)
-    local = np.where(block_cols[free_b] < n, block_cols[free_b] - offsets[cell][:, None], width)
+    summand = codes[free_b] // (2 * p * p)
+    local = np.where(block_cols[free_b] < n, block_cols[free_b] - offsets[summand][:, None], width)
     merged = np.zeros((free_b.size, width + 1), dtype=np.int64)
     merged[np.arange(free_b.size)[:, None], local] = vectors
     leads = block_cols[free_b, free_c]
@@ -359,30 +355,42 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
     bounds = np.searchsorted(leads[by_lead], offsets)
     merged = merged[by_lead]
     return [
-        CochainSpace(
-            parity=parity,
-            space=Subspace(p, size, merged[bounds[c] : bounds[c + 1], :size]),
-            shape=shape,
-        )
-        for c, (size, shape) in enumerate(zip(sizes, shapes))
+        Subspace(p, size, merged[bounds[c] : bounds[c + 1], :size]) for c, size in enumerate(sizes)
     ]
+
+
+def _parity_parts(system: _System, space: Subspace) -> dict[int, CochainSpace]:
+    """The even and odd parts of a space solved over the system.
+
+    Every block of a solve lies in one parity, so each basis row lies in the
+    parity of its leading coordinate, and the rows of one parity are the
+    canonical basis of that part.
+    """
+    row_par = system.coord_par[(space.basis != 0).argmax(axis=1)]
+    shape = (system.m.dim, system.g.dim)
+    return {
+        s: CochainSpace(s, Subspace(space.p, space.ambient_dim, space.basis[row_par == s]), shape)
+        for s in (0, 1)
+    }
 
 
 def derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
     """Canonical basis of the parity part of Der(g, M)."""
-    system = _graded_system(g, m, parity, _weight_codes(g, m))
-    return _solve_constrained([system], [system.coherent])[0]
+    system = _graded_system(g, m)
+    space = _solve_constrained([system], [np.arange(system.coord_wt.size)])[0]
+    return _parity_parts(system, space)[parity]
 
 
 def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
     """Derivations that map every root space into the matching module weight space.
 
     Implemented as the derivation system with every coordinate that leaves its
-    target weight space pinned to zero, i.e. the free coordinates are those
-    both parity-coherent and of weight 0.
+    target weight space pinned to zero, i.e. the free coordinates are those of
+    weight 0.
     """
-    system = _graded_system(g, m, parity, _weight_codes(g, m))
-    return _solve_constrained([system], [_weight_zero_columns(system)])[0]
+    system = _graded_system(g, m)
+    space = _solve_constrained([system], [_weight_zero_columns(system)])[0]
+    return _parity_parts(system, space)[parity]
 
 
 def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
@@ -514,29 +522,23 @@ def _independent_modulo(ider: Subspace, rows: np.ndarray) -> list[int]:
 def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
     """h1 of several cells at once: per module, (report, wder, ider) or its SolverFailure.
 
-    Der(g, M_1 + ... + M_k) is the direct sum of the Der(g, M_c), so the cells'
-    systems are solved as one: each (cell, parity) system is assembled once,
-    and per parity Der takes one _solve_constrained call over all the cells
-    and WDer another, so the weight route stays an independent solve rather
-    than a slice of Der.  The rest is per cell, in _h1_from_spaces; a cell
-    whose checks fail gives its SolverFailure and leaves the others be.
+    Each cell's system is assembled once, and one _solve_constrained call
+    takes Der (every coordinate) and then WDer (the weight-0 coordinates) of
+    every cell as its summands; each WDer block is its own slice of the
+    stack, so the weight route stays an independent reduction.  The rest is
+    per cell and per parity, in _h1_from_spaces; a cell whose checks fail
+    gives its SolverFailure and leaves the others be.
     """
-    for m in modules:
-        if m.highest_weight is None:
-            raise ValueError("module must carry its highest weight")
-    systems = {0: [], 1: []}
-    for m in modules:
-        codes = _weight_codes(g, m)
-        for s in (0, 1):
-            systems[s].append(_graded_system(g, m, s, codes))
-    zero_cols = {s: [_weight_zero_columns(system) for system in systems[s]] for s in (0, 1)}
-    der = {s: _solve_constrained(systems[s], [x.coherent for x in systems[s]]) for s in (0, 1)}
-    wder = {s: _solve_constrained(systems[s], zero_cols[s]) for s in (0, 1)}
+    if any(m.highest_weight is None for m in modules):
+        raise ValueError("module must carry its highest weight")
+    systems = [_graded_system(g, m) for m in modules]
+    der_cols = [np.arange(x.coord_wt.size) for x in systems]
+    spaces = _solve_constrained(systems * 2, der_cols + [_weight_zero_columns(x) for x in systems])
+    parts = [_parity_parts(x, space) for x, space in zip(systems * 2, spaces)]
     outcomes = []
     for c, m in enumerate(modules):
-        cell = ({s: per_cell[s][c] for s in (0, 1)} for per_cell in (der, wder))
         try:
-            outcomes.append(_h1_from_spaces(g, m, *cell))
+            outcomes.append(_h1_from_spaces(g, m, parts[c], parts[len(modules) + c]))
         except SolverFailure as exc:
             outcomes.append(exc)
     return outcomes
@@ -621,14 +623,11 @@ def cartan_values_annihilated(
 
 def weight_plus_inner_equals_der(g: Superalgebra, m: GModule) -> bool:
     """Whether WDer + Ider = Der holds in each parity."""
-    ider_even, ider_odd = inner_space(g, m)
-    ider = {0: ider_even, 1: ider_odd}
-    for s in (0, 1):
-        der = derivation_space(g, m, s)
-        wder = weight_derivation_space(g, m, s)
-        if (wder.space + ider[s]) != der.space:
-            return False
-    return True
+    ider = inner_space(g, m)
+    return all(
+        weight_derivation_space(g, m, s).space + ider[s] == derivation_space(g, m, s).space
+        for s in (0, 1)
+    )
 
 
 def report_to_json(report: CohomologyReport, g: Superalgebra, m: GModule) -> dict:

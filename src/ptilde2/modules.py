@@ -356,12 +356,6 @@ def _matching_weight_space(p: int, weights: np.ndarray, w: Weight) -> Subspace:
     return Subspace(p, len(weights), np.eye(len(weights), dtype=np.int64)[match])
 
 
-def root_target_weights(p: int) -> list[Weight]:
-    """The seven root weights of the algebra, canonicalized mod p."""
-    raw = [(-2, 0), (-1, -1), (-1, 1), (0, -2), (1, -1), (1, 1), (0, 0)]
-    return [Weight(residue(x, p), residue(y, p)) for x, y in raw]
-
-
 # Case table for the weight space of K(a, b) at each root weight.  Per weight:
 # an even branch and an odd branch, each a triple (offset, condition, s) with
 #   basis index k = residue(b + offset),
@@ -377,6 +371,11 @@ _CASE_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {
     (1, 1): ((-1, (1, 1, ()), 2), (0, (0, -1, ()), 0)),
     (0, 0): ((0, (0, -1, ()), 0), (1, (0, -3, (-1,)), -2)),
 }
+
+
+def root_target_weights(p: int) -> list[Weight]:
+    """The seven root weights of the algebra, canonicalized mod p: the case table's keys."""
+    return [Weight(residue(x, p), residue(y, p)) for x, y in _CASE_TABLE]
 
 
 def _condition_holds(p: int, x: int, cond: tuple) -> bool:
@@ -396,19 +395,16 @@ def case_table_weight_space(p: int, a, b, w: Weight) -> Subspace:
     """
     p = check_odd_prime(p)
     a, b = residue(a, p), residue(b, p)
-    key = None
-    for raw in _CASE_TABLE:
-        if (residue(raw[0], p), residue(raw[1], p)) == (residue(w[0], p), residue(w[1], p)):
-            key = raw
-            break
-    if key is None:
+    branches = dict(zip(root_target_weights(p), _CASE_TABLE.values()))
+    key = (residue(w[0], p), residue(w[1], p))
+    if key not in branches:
         raise KeyError(f"{w} is not one of the seven root weights mod {p}")
     t = residue(b - a, p)
     n = 2 * (t + 1)
     x = residue(b, p)
     s = residue(a + b, p)
     rows = []
-    for parity, (off, cond, ab) in enumerate(_CASE_TABLE[key]):
+    for parity, (off, cond, ab) in enumerate(branches[key]):
         k = residue(b + off, p)
         if s == residue(ab, p) and _condition_holds(p, x, cond) and k <= t:
             rows.append(_kac_index(t, parity, k))

@@ -21,8 +21,8 @@ from ptilde2.cohomology import (
     _coherent_columns,
     _graded_system,
     _h1_batch,
+    _parity_parts,
     _solve_constrained,
-    _weight_codes,
     _weight_zero_columns,
 )
 from ptilde2.linalg import FpMatrix, Subspace, _rref_batched
@@ -33,14 +33,16 @@ ALGEBRAS = {p: build_p_tilde_2(p) for p in (3, 5, 7, 13)}
 
 
 def solved_spaces(g, modules):
-    """Der and WDer per parity, each module solved in one batch: {(route, parity): [Subspace]}."""
+    """Der and WDer per parity, every module in one solve: {(route, parity): [Subspace]}."""
+    systems = [_graded_system(g, m) for m in modules]
+    columns = [np.arange(x.coord_par.size) for x in systems]
+    columns += [_weight_zero_columns(x) for x in systems]
+    spaces = iter(_solve_constrained(systems * 2, columns))
     out = {}
-    for s in (0, 1):
-        systems = [_graded_system(g, m, s, _weight_codes(g, m)) for m in modules]
-        der = _solve_constrained(systems, [x.coherent for x in systems])
-        wder = _solve_constrained(systems, [_weight_zero_columns(x) for x in systems])
-        out["der", s] = [x.space for x in der]
-        out["wder", s] = [x.space for x in wder]
+    for route in ("der", "wder"):
+        parts = [_parity_parts(x, next(spaces)) for x in systems]
+        for s in (0, 1):
+            out[route, s] = [part[s].space for part in parts]
     return out
 
 
@@ -107,8 +109,9 @@ def test_a_mixed_batch_matches_the_dense_reference():
             assert spaces["der", s][c] == Subspace.from_spanning(g.p, n, full)
 
 
-def eliminated_blocks(monkeypatch, g, modules, parity, weight_zero):
-    """The blocks one batched solve hands to the elimination, in order, trimmed of padding."""
+def eliminated_blocks(monkeypatch, g, modules, columns):
+    """The blocks one solve of the modules, free on columns(system), hands to the
+    elimination, in order, trimmed of padding."""
     blocks = []
 
     def recording(stack, p):
@@ -119,10 +122,19 @@ def eliminated_blocks(monkeypatch, g, modules, parity, weight_zero):
         return _rref_batched(stack, p)
 
     monkeypatch.setattr(cohomology, "_rref_batched", recording)
-    systems = [_graded_system(g, m, parity, _weight_codes(g, m)) for m in modules]
-    columns = [_weight_zero_columns(x) if weight_zero else x.coherent for x in systems]
-    _solve_constrained(systems, columns)
+    systems = [_graded_system(g, m) for m in modules]
+    _solve_constrained(systems, [columns(x) for x in systems])
     return blocks
+
+
+def route_columns(parity, weight_zero):
+    """Der's or WDer's free columns of one parity."""
+
+    def columns(system):
+        cols = _weight_zero_columns(system) if weight_zero else np.arange(system.coord_par.size)
+        return cols[system.coord_par[cols] == parity] if parity is not None else cols
+
+    return columns
 
 
 @pytest.mark.parametrize("weight_zero", [False, True])
@@ -131,9 +143,23 @@ def test_the_batch_eliminates_exactly_the_blocks_of_its_cells(monkeypatch, parit
     # no block mixes two cells: the stack is the cells' own stacks, cell after cell
     g = ALGEBRAS[5]
     modules = [build_kac_module(g, a, b) for a, b in [(0, 3), (1, 1), (2, 4), (4, 0), (3, 2)]]
-    batched = eliminated_blocks(monkeypatch, g, modules, parity, weight_zero)
-    singles = [eliminated_blocks(monkeypatch, g, [m], parity, weight_zero) for m in modules]
+    columns = route_columns(parity, weight_zero)
+    batched = eliminated_blocks(monkeypatch, g, modules, columns)
+    singles = [eliminated_blocks(monkeypatch, g, [m], columns) for m in modules]
     assert batched == [block for blocks in singles for block in blocks]
+
+
+@pytest.mark.parametrize("weight_zero", [False, True])
+def test_no_block_mixes_two_parities(monkeypatch, weight_zero):
+    # at p = 3 some weights hold coordinates of both parities; each block must
+    # still be one that a solve of a single parity eliminates
+    g = ALGEBRAS[3]
+    for m in [build_kac_module(g, a, b) for a in range(3) for b in range(3)]:
+        both = eliminated_blocks(monkeypatch, g, [m], route_columns(None, weight_zero))
+        even, odd = (
+            eliminated_blocks(monkeypatch, g, [m], route_columns(s, weight_zero)) for s in (0, 1)
+        )
+        assert sorted(both) == sorted(even + odd), m.highest_weight
 
 
 @pytest.fixture

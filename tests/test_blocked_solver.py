@@ -59,13 +59,20 @@ def test_top_index_cells_match_dense_reference(p):
 
 
 def test_sparse_entries_assemble_to_dense_system():
-    g = build_p_tilde_2(5)
-    km = build_kac_module(g, 0, 3)
-    for parity in (0, 1):
-        rows, cols, vals = _system_entries(g, km, parity)
-        dense = np.zeros((g.dim * g.dim * km.dim, km.dim * g.dim), dtype=np.int64)
-        np.add.at(dense, (rows, cols), vals)
-        assert np.array_equal(dense % 5, _derivation_system(g, km, parity))
+    # one system for both parities: on each parity's coherent columns it is
+    # that parity's dense system, so together they pin every column
+    for p in (3, 5, 7):
+        g = build_p_tilde_2(p)
+        for a in range(p):
+            for b in range(p):
+                km = build_kac_module(g, a, b)
+                rows, cols, vals = _system_entries(g, km)
+                dense = np.zeros((g.dim * g.dim * km.dim, km.dim * g.dim), dtype=np.int64)
+                np.add.at(dense, (rows, cols), vals)
+                for parity in (0, 1):
+                    columns = _coherent_columns(g, km, parity)
+                    reference = _derivation_system(g, km, parity)
+                    assert np.array_equal(dense[:, columns] % p, reference[:, columns]), (a, b)
 
 
 def test_weight_incompatible_module_raises():

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptilde2.cohomology import (
+    _coherent_columns,
     _graded_system,
     _h1_batch,
     _independent_modulo,
-    _weight_codes,
     _weight_zero_columns,
     derivation_space,
     inner_derivation,
@@ -375,9 +375,9 @@ def flat_weight_route(wder, ider):
 def weight_routes(g, km):
     """(rank modulo Ider, flat route, weight-0 block width, dim Ider_0 + dim WDer) per parity."""
     _, wder, ider = _h1_batch(g, [km])[0]
-    codes = _weight_codes(g, km)
+    zero = _weight_zero_columns(_graded_system(g, km))
     for s in (0, 1):
-        columns = _weight_zero_columns(_graded_system(g, km, s, codes))
+        columns = np.intersect1d(zero, _coherent_columns(g, km, s))
         inside = ~np.delete(ider[s].basis, columns, axis=1).any(axis=1)
         yield (
             len(_independent_modulo(ider[s], wder[s].space.basis)),

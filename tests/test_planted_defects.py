@@ -66,6 +66,26 @@ def test_sign_flip_is_a_finding_of_every_grid_suite(monkeypatch, suite):
     assert "K(0,3) failed: representation law fails" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--p", "5", "--jobs", "1"],
+        ["scan", "--p", "5", "--jobs", "2"],
+        ["h1", "--p", "5", "--a", "0", "--b", "3"],
+        ["export", "--p", "5", "--what", "module", "--a", "0", "--b", "3"],
+    ],
+)
+def test_sign_flip_is_one_stderr_line_of_every_command(monkeypatch, args):
+    monkeypatch.setattr(modules, "KacModule", flipped_kac("alpha", 0, 1))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert type(result.exception) is SystemExit
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert "representation law fails" in lines[0]
+
+
 def test_sign_flip_is_one_finding_per_grid_suite_of_the_shared_walk(monkeypatch):
     monkeypatch.setattr(modules, "KacModule", flipped_kac("alpha", 0, 1))
     result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "all"])
@@ -84,8 +104,8 @@ def test_dropped_pair_breaks_the_blocked_solver(monkeypatch, g5):
     gamma = g5.index("gamma")
     entries = cohomology._system_entries
 
-    def dropped(g, m, parity):
-        rows, cols, vals = entries(g, m, parity)
+    def dropped(g, m):
+        rows, cols, vals = entries(g, m)
         keep = rows // m.dim != gamma * g.dim + gamma
         return rows[keep], cols[keep], vals[keep]
 
@@ -146,17 +166,31 @@ def test_wrong_case_table_entry_fails_the_weights_suite(monkeypatch):
     assert "case-table mismatch" in result.output
 
 
-def test_relabelled_parity_is_caught_by_the_parity_check():
-    # K(0, 1) at p=3 with g*v0 (index 2) called even: the representation law
-    # ignores module parities, so only the parity split can catch it
+def relabelled_k01():
+    """K(0, 1) at p=3 with g*v0 (index 2) called even: a module that breaks its parity blocks."""
     g = build_p_tilde_2(3)
     km = build_kac_module(g, 0, 1)
     parity = list(km.parity)
     parity[2] = 0
     bent = modules.GModule(algebra=g, labels=km.labels, parity=tuple(parity), actions=km.actions)
+    return g, bent
+
+
+def test_relabelled_parity_is_caught_by_the_parity_check():
+    # the representation law ignores module parities, so only the parity split can catch it
+    _, bent = relabelled_k01()
     assert bent.representation_violations() == []
     # gamma, alpha, beta, e24 and e14+e23 each have one entry in row or column 2
     # that now joins blocks of the wrong parity
     assert bent.parity_violations() == [(0, 2, 0), (3, 2, 3), (4, 3, 2), (6, 1, 2), (7, 0, 2)]
     with pytest.raises(RepresentationError, match="parity blocks violated"):
         bent.validate()
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_relabelled_parity_is_refused_by_the_solver(parity):
+    # the system of both parities holds an equation whose entries cross
+    # parities; solving it anyway would give a different Der
+    g, bent = relabelled_k01()
+    with pytest.raises(ValueError, match="mixes parities"):
+        derivation_space(g, bent, parity)
