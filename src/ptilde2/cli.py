@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import click
 import numpy as np
@@ -37,11 +36,10 @@ from .cohomology import (
 from .linalg import check_odd_prime
 from .modules import (
     RepresentationError,
-    _matching_weight_space,
-    basis_module_weights,
+    _case_table_rows,
+    _module_weights,
     build_kac_module,
     build_simple_module,
-    case_table_weight_space,
     gmodule_to_json,
     residue,
     residue_comparisons,
@@ -159,6 +157,7 @@ def _walk(p: int, check, solve: bool, jobs: int = 1) -> list:
     tasks = [(p, batch, check, solve) for batch in batches]
     workers = _worker_count(jobs, len(batches))
     if workers > 1:
+        from multiprocessing import Pool  # only here: a serial run never pays for it
         with Pool(workers) as pool:
             results = pool.starmap(_walk_batch, tasks)
     else:
@@ -170,10 +169,12 @@ def scan_rows(p: int, jobs: int = 1) -> list[ScanRow]:
     """One row per (a, b) in lexicographic order, identical for any job count.
 
     The error raised is always that of the first failing cell in order: its
-    RepresentationError if its build failed, else its SolverFailure.
+    RepresentationError, naming it, if its build failed, else its SolverFailure.
     """
     rows = _walk(p, _scan_row, solve=True, jobs=jobs)
-    for row in rows:
+    for cell, row in enumerate(rows):
+        if isinstance(row, RepresentationError):
+            raise RepresentationError(f"K({cell // p},{cell % p}): {row}") from row
         if isinstance(row, Exception):
             raise row
     return rows
@@ -326,16 +327,17 @@ def _weight_findings(km, outcome) -> list[str]:
     """The closed-form basis weights of K(a, b) and the case-table oracle."""
     failures = []
     p, (a, b), t = km.p, km.highest_weight, km.top_index
-    wts = basis_module_weights(km)
-    for k in range(t + 1):
-        if wts[k] != (residue(a + k, p), residue(b - k, p)):
-            failures.append(f"weight of even basis {k} wrong at ({a},{b})")
-        if wts[t + 1 + k] != (residue(a + k + 1, p), residue(b - k + 1, p)):
-            failures.append(f"weight of odd basis {k} wrong at ({a},{b})")
-    weights = np.array(wts)
+    weights = _module_weights(km)
+    ks = np.arange(t + 1)
+    # [parity, k]: 1*v_k has weight (a+k, b-k), g*v_k has (a+k+1, b-k+1)
+    want = (np.stack([a + ks, b - ks], axis=1) + np.arange(2)[:, None, None]) % p
+    wrong = np.any(weights.reshape(2, t + 1, 2) != want, axis=2)
+    for k, parity in zip(*np.nonzero(wrong.T)):
+        failures.append(f"weight of {('even', 'odd')[parity]} basis {k} wrong at ({a},{b})")
+    codes = weights[:, 0] * p + weights[:, 1]
     for w in root_target_weights(p):
-        space = _matching_weight_space(p, weights, w)
-        if space != case_table_weight_space(p, a, b, w):
+        found = np.flatnonzero(codes == w[0] * p + w[1])
+        if not np.array_equal(found, _case_table_rows(p, a, b, w)):
             failures.append(f"case-table mismatch at (p={p}, a={a}, b={b}, w={w})")
     return failures
 

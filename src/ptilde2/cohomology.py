@@ -206,9 +206,8 @@ def _system_entries(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray
     c_cols = rs * dg + ck[:, None]
     c_vals = np.broadcast_to(g.structure[ci, cj, ck][:, None], c_rows.shape)
     # one nonzero (x, r, r') of an action matrix, used as x_i or as x_j
-    acts = np.stack(m.actions)
-    ax, ar, ac = np.nonzero(acts)
-    av = acts[ax, ar, ac][:, None]
+    ax, ar, ac, av = m.entries
+    av = av[:, None]
     x_par, r_par = par[ax][:, None], np.asarray(m.parity)[ar][:, None]
     # - (-1)^{f|x_i|} x_i phi(x_j), for every j
     i_rows = (ax[:, None] * dg + js) * dm + ar[:, None]
@@ -376,6 +375,8 @@ def _parity_parts(system: _System, space: Subspace) -> dict[int, CochainSpace]:
 
 def derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
     """Canonical basis of the parity part of Der(g, M)."""
+    if parity not in (0, 1):
+        raise ValueError(f"cochain parity must be 0 or 1, got {parity!r}")
     system = _graded_system(g, m)
     space = _solve_constrained([system], [np.arange(system.coord_wt.size)])[0]
     return _parity_parts(system, space)[parity]
@@ -388,6 +389,8 @@ def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> Cochain
     target weight space pinned to zero, i.e. the free coordinates are those of
     weight 0.
     """
+    if parity not in (0, 1):
+        raise ValueError(f"cochain parity must be 0 or 1, got {parity!r}")
     system = _graded_system(g, m)
     space = _solve_constrained([system], [_weight_zero_columns(system)])[0]
     return _parity_parts(system, space)[parity]
@@ -415,7 +418,7 @@ def inner_space(g: Superalgebra, m: GModule) -> tuple[Subspace, Subspace]:
     # row r, the inner derivation of basis vector r: entry (s, j) is
     # sign(|x_j| |r|) * actions[j][s, r], at flat position s * dim g + j
     signs = np.where(np.outer(mpar, g.parity) % 2, -1, 1)  # [r, j]
-    rows = signs[:, None, :] * np.stack(m.actions).transpose(2, 1, 0)  # [r, s, j]
+    rows = signs[:, None, :] * m.actions.transpose(2, 1, 0)  # [r, s, j]
     rows = rows.reshape(m.dim, n)
     return tuple(
         Subspace.from_spanning(m.p, n, rows[mpar == parity]) for parity in (0, 1)

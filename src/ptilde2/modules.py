@@ -3,8 +3,9 @@ construction, the induced module on the odd generator, and all weight-space
 machinery including the canonical-residue case analysis for the seven root
 weights.
 
-A module is a list of action matrices, one per algebra basis element, checked
-against the representation law
+A module holds one read-only array of action matrices, one per algebra basis
+element, whose nonzero entries are read once, on first use, by every reader:
+the parity check, the derivation system and the representation law
 
     action([x, y]) = action(x) action(y) - (-1)^{|x||y|} action(y) action(x)
 
@@ -14,7 +15,7 @@ with the bracket expanded through the structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,12 +59,12 @@ def residue(c, p: int) -> int:
 
 @dataclass(eq=False)
 class GModule:
-    """A module given by one action matrix per algebra basis element."""
+    """A module: actions[i] is basis element i's matrix mod p, in one read-only int64 array."""
 
     algebra: Superalgebra
     labels: tuple[str, ...]
     parity: tuple[int, ...]
-    actions: list[np.ndarray]
+    actions: np.ndarray
     highest_weight: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -72,15 +73,16 @@ class GModule:
             raise ValueError(f"need one parity in {{0, 1}} per basis vector, got {self.parity}")
         if self.highest_weight is not None and len(self.highest_weight) != 2:
             raise ValueError(f"highest weight must have 2 entries, got {self.highest_weight}")
-        acts = []
-        for m in self.actions:
-            a = np.mod(np.asarray(m, dtype=np.int64), p)
+        mats = [np.asarray(m, dtype=np.int64) for m in self.actions]
+        for a in mats:
             if a.shape != (self.dim, self.dim):
                 raise ValueError(f"action matrix shape {a.shape}, expected square of {self.dim}")
-            a.setflags(write=False)
-            acts.append(a)
-        if len(acts) != self.algebra.dim:
+        if len(mats) != self.algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
+        acts = np.stack(mats)
+        if acts.size and (acts.min() < 0 or acts.max() >= p):
+            np.mod(acts, p, out=acts)
+        acts.setflags(write=False)
         self.actions = acts
 
     @property
@@ -91,6 +93,12 @@ class GModule:
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(action, row, col, value) of every nonzero action entry, read on first use."""
+        flat = np.flatnonzero(self.actions)
+        return (*np.unravel_index(flat, self.actions.shape), self.actions.reshape(-1)[flat])
+
     def act(self, i: int, v) -> np.ndarray:
         return (self.actions[i] @ np.asarray(v, dtype=np.int64)) % self.p
 
@@ -98,42 +106,37 @@ class GModule:
         """Ordered algebra basis pairs where the representation law fails.
 
         Every term of action([x_i, x_j]) - x_i x_j + sign x_j x_i is formed
-        from the nonzero entries alone, as an (i, j, row, col, value) entry;
-        the entries are summed by key with exact integer reductions.
+        from the nonzero entries alone, as a (pair, row, col, value) entry;
+        one sort of the keys sums the entries with exact integer reductions.
         """
-        g = self.algebra
-        dg, dm = g.dim, self.dim
-        acts = np.stack(self.actions)
-        ax, ar, ac = np.nonzero(acts)
-        av = acts[ax, ar, ac]
+        dg, dm = self.algebra.dim, self.dim
+        pair, sk, sc, sign = _law_constants(self.algebra)
+        ax, ar, ac, av = self.entries
         # action([x_i, x_j]) = sum_k c_ijk action(x_k): constant c_ijk meets entries of x_k
-        si, sj, sk = np.nonzero(g.structure)
         s, e = _join(sk, ax)
         # (x_u x_w)[row, col] from entries (u, row, mid) and (w, mid, col) enters
         # the pair (u, w) with sign -1 and the pair (w, u) with sign (-1)^{|x_u||x_w|}
         u, w = _join(ac, ar)
+        xu, xw = ax[u], ax[w]
         prod = av[u] * av[w]
-        par = np.asarray(g.parity)
-        swap = np.where(par[ax[u]] * par[ax[w]] % 2, -1, 1)
-        first = np.concatenate([si[s], ax[u], ax[w]])
-        second = np.concatenate([sj[s], ax[w], ax[u]])
-        row = np.concatenate([ar[e], ar[u], ar[u]])
-        col = np.concatenate([ac[e], ac[w], ac[w]])
-        val = np.concatenate([g.structure[si, sj, sk][s] * av[e], -prod, swap * prod])
+        cell = ar[u] * dm + ac[w]
+        pairs = np.concatenate([pair[s], xu * dg + xw, xw * dg + xu])
+        keys = pairs * dm * dm + np.concatenate([ar[e] * dm + ac[e], cell, cell])
+        val = np.concatenate([sc[s] * av[e], -prod, sign[xu, xw] * prod])
         if val.size == 0:
             return []
-        keys = ((first * dg + second) * dm + row) * dm + col
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys, val = keys[order], val[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         sums = np.add.reduceat(val, starts) % self.p
-        pairs = np.unique(keys[starts][sums != 0] // (dm * dm))
-        return [(int(k // dg), int(k % dg)) for k in pairs]
+        # keys are sorted, so the failing pairs come out in order
+        bad = (keys[starts[sums != 0]] // (dm * dm)).tolist()
+        return [(k // dg, k % dg) for k in dict.fromkeys(bad)]
 
     def parity_violations(self) -> list[tuple[int, int, int]]:
         """Entries (i, r, c) where action i does not respect the parity split."""
         mp = np.asarray(self.parity)
-        i, r, c = np.nonzero(np.stack(self.actions))
+        i, r, c, _ = self.entries
         bad = mp[r] != (mp[c] + np.asarray(self.algebra.parity)[i]) % 2
         return list(zip(i[bad].tolist(), r[bad].tolist(), c[bad].tolist()))
 
@@ -144,6 +147,14 @@ class GModule:
         badp = self.parity_violations()
         if badp:
             raise RepresentationError(f"parity blocks violated at {badp[:6]}")
+
+
+@lru_cache(maxsize=32)
+def _law_constants(g: Superalgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Once per algebra: each c_ijk != 0 as (i * dim g + j, k, c_ijk), and (-1)^{|x_u||x_w|}."""
+    si, sj, sk = np.nonzero(g.structure)
+    par = np.asarray(g.parity)
+    return si * g.dim + sj, sk, g.structure[si, sj, sk], np.where(np.outer(par, par) % 2, -1, 1)
 
 
 @dataclass(eq=False)
@@ -246,6 +257,14 @@ def residue_shift_table(p: int, b) -> dict[str, tuple[int, int]]:
     return {k: (direct[k], tabulated[k]) for k in direct}
 
 
+def _action_array(labels: tuple[str, ...], n: int, entries) -> np.ndarray:
+    """The (len(labels), n, n) action array with each (label, rows, cols, values) written in."""
+    acts = np.zeros((len(labels), n, n), dtype=np.int64)
+    for label, rows, cols, values in entries:
+        acts[labels.index(label), rows, cols] = values
+    return acts
+
+
 def build_simple_module(g0: Superalgebra, a, b) -> GModule:
     """Highest-weight module of the grade-zero subalgebra with weight (a, b).
 
@@ -260,21 +279,18 @@ def build_simple_module(g0: Superalgebra, a, b) -> GModule:
     t = residue(b - a, p)
     n = t + 1
     ks = np.arange(n, dtype=np.int64)
-    mats = {
-        "h1": np.diag((a + ks) % p),
-        "h2": np.diag((b - ks) % p),
-        "alpha": np.zeros((n, n), dtype=np.int64),
-        "beta": np.zeros((n, n), dtype=np.int64),
-    }
-    for k in range(1, n):
-        mats["alpha"][k - 1, k] = (k * (b - a - k + 1)) % p
-    for k in range(n - 1):
-        mats["beta"][k + 1, k] = 1
+    up = ks[1:] * (b - a - ks[1:] + 1) % p  # alpha v_k = up[k-1] v_{k-1}
+    actions = _action_array(g0.labels, n, [
+        ("h1", ks, ks, (a + ks) % p),
+        ("h2", ks, ks, (b - ks) % p),
+        ("alpha", ks[:-1], ks[1:], up),
+        ("beta", ks[1:], ks[:-1], 1),
+    ])
     m = GModule(
         algebra=g0,
         labels=tuple(f"v{k}" for k in range(n)),
         parity=tuple(0 for _ in range(n)),
-        actions=[mats[label] for label in g0.labels],
+        actions=actions,
         highest_weight=(a, b),
     )
     m.validate()
@@ -294,36 +310,29 @@ def build_kac_module(g: Superalgebra, a, b) -> KacModule:
     p = g.p
     a, b = residue(a, p), residue(b, p)
     t = residue(b - a, p)
-    n = 2 * (t + 1)
-    ev, od = (partial(_kac_index, t, parity) for parity in (0, 1))
-
-    def blank() -> np.ndarray:
-        return np.zeros((n, n), dtype=np.int64)
-
-    mats = {lab: blank() for lab in g.labels}
-    for k in range(t + 1):
-        mats["h1"][ev(k), ev(k)] = (a + k) % p
-        mats["h1"][od(k), od(k)] = (a + k + 1) % p
-        mats["h2"][ev(k), ev(k)] = (b - k) % p
-        mats["h2"][od(k), od(k)] = (b - k + 1) % p
-        mats["gamma"][od(k), ev(k)] = 1
-        mats["e14+e23"][ev(k), od(k)] = (b - a - 2 * k) % p
-        if k > 0:
-            coeff = (k * (b - a - k + 1)) % p
-            mats["alpha"][ev(k - 1), ev(k)] = coeff
-            mats["alpha"][od(k - 1), od(k)] = coeff
-            mats["e13"][ev(k - 1), od(k)] = coeff
-        if k < t:
-            mats["beta"][ev(k + 1), ev(k)] = 1
-            mats["beta"][od(k + 1), od(k)] = 1
-            mats["e24"][ev(k + 1), od(k)] = p - 1
-
+    ks = np.arange(t + 1, dtype=np.int64)
+    ev, od = _kac_index(t, 0, ks), _kac_index(t, 1, ks)  # 1*v_k and g*v_k
+    up = ks[1:] * (b - a - ks[1:] + 1) % p  # alpha 1*v_k = up[k-1] 1*v_{k-1}
+    actions = _action_array(g.labels, 2 * (t + 1), [
+        ("h1", ev, ev, (a + ks) % p),
+        ("h1", od, od, (a + ks + 1) % p),
+        ("h2", ev, ev, (b - ks) % p),
+        ("h2", od, od, (b - ks + 1) % p),
+        ("gamma", od, ev, 1),
+        ("e14+e23", ev, od, (b - a - 2 * ks) % p),
+        ("alpha", ev[:-1], ev[1:], up),
+        ("alpha", od[:-1], od[1:], up),
+        ("e13", ev[:-1], od[1:], up),
+        ("beta", ev[1:], ev[:-1], 1),
+        ("beta", od[1:], od[:-1], 1),
+        ("e24", ev[1:], od[:-1], p - 1),
+    ])
     labels = tuple(f"1*v{k}" for k in range(t + 1)) + tuple(f"g*v{k}" for k in range(t + 1))
     km = KacModule(
         algebra=g,
         labels=labels,
         parity=tuple(0 for _ in range(t + 1)) + tuple(1 for _ in range(t + 1)),
-        actions=[mats[label] for label in g.labels],
+        actions=actions,
         highest_weight=(a, b),
         top_index=t,
     )
@@ -333,10 +342,15 @@ def build_kac_module(g: Superalgebra, a, b) -> KacModule:
 
 def basis_module_weights(m: GModule) -> list[Weight]:
     """Weight of each module basis vector; requires diagonal Cartan action."""
+    return [Weight(*w) for w in _module_weights(m).tolist()]
+
+
+def _module_weights(m: GModule) -> np.ndarray:
+    """One (h1, h2) row of residues per module basis vector; raises unless diagonal."""
     weights = _diagonal_weights(m.algebra, m.actions)
     if weights is None:
         raise ValueError("a Cartan element does not act diagonally on the module basis")
-    return [Weight(*w) for w in weights.tolist()]
+    return weights
 
 
 def weight_decomposition(m: GModule) -> dict[Weight, Subspace]:
@@ -394,22 +408,25 @@ def case_table_weight_space(p: int, a, b, w: Weight) -> Subspace:
     contributing nothing.
     """
     p = check_odd_prime(p)
-    a, b = residue(a, p), residue(b, p)
-    branches = dict(zip(root_target_weights(p), _CASE_TABLE.values()))
+    n = 2 * (residue(b - a, p) + 1)
+    # unit rows at increasing indices (even before odd) are already canonical
+    return Subspace(p, n, np.eye(n, dtype=np.int64)[_case_table_rows(p, a, b, w)])
+
+
+def _case_table_rows(p: int, a: int, b: int, w: Weight) -> list[int]:
+    """Basis indices of K(a, b) spanning its weight space at a root weight, by the case table."""
     key = (residue(w[0], p), residue(w[1], p))
-    if key not in branches:
+    # the seven root weights stay distinct mod any odd prime
+    branches = next((v for (x, y), v in _CASE_TABLE.items() if (x % p, y % p) == key), None)
+    if branches is None:
         raise KeyError(f"{w} is not one of the seven root weights mod {p}")
-    t = residue(b - a, p)
-    n = 2 * (t + 1)
-    x = residue(b, p)
-    s = residue(a + b, p)
+    t, x, s = residue(b - a, p), residue(b, p), residue(a + b, p)
     rows = []
-    for parity, (off, cond, ab) in enumerate(branches[key]):
+    for parity, (off, cond, ab) in enumerate(branches):
         k = residue(b + off, p)
         if s == residue(ab, p) and _condition_holds(p, x, cond) and k <= t:
             rows.append(_kac_index(t, parity, k))
-    # unit rows at increasing indices (even before odd) are already canonical
-    return Subspace(p, n, np.eye(n, dtype=np.int64)[rows])
+    return rows
 
 
 def gmodule_to_json(m: GModule) -> dict:
@@ -418,7 +435,7 @@ def gmodule_to_json(m: GModule) -> dict:
         "lambda": list(m.highest_weight) if m.highest_weight else None,
         "labels": list(m.labels),
         "parity": list(m.parity),
-        "actions": [a.tolist() for a in m.actions],
+        "actions": m.actions.tolist(),
     }
 
 
@@ -429,7 +446,7 @@ def gmodule_from_json(data: dict, algebra: Superalgebra) -> GModule:
         algebra=algebra,
         labels=tuple(data["labels"]),
         parity=tuple(_json_integers(data["parity"], "parity", 1).tolist()),
-        actions=list(_json_integers(data["actions"], "actions", 3)),
+        actions=_json_integers(data["actions"], "actions", 3),
         highest_weight=None if lam is None else tuple(_json_integers(lam, "lambda", 1).tolist()),
     )
     m.validate()

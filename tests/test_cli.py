@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -143,6 +147,15 @@ class TestScanCommand:
         assert summary["disagreements"] == []
         assert summary["clause_overlaps"] == []
         assert sum(int(v) for v in summary["h1_counts"].values()) == 9
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only a scan with more than one worker needs the pool
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, ptilde2.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 class TestWorkerCount:

@@ -38,6 +38,13 @@ def unit(n, i):
     return v
 
 
+@pytest.mark.parametrize("space", [derivation_space, weight_derivation_space])
+@pytest.mark.parametrize("parity", [2, -1])
+def test_a_parity_outside_zero_and_one_is_refused(g5, space, parity):
+    with pytest.raises(ValueError, match=f"parity must be 0 or 1, got {parity}"):
+        space(g5, build_kac_module(g5, 0, 3), parity)
+
+
 def all_residuals_vanish(g, m, cochain):
     return all(
         not np.any(derivation_residual(g, m, cochain, i, j))

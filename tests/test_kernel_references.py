@@ -40,11 +40,13 @@ from ptilde2.modules import (
     _matching_weight_space,
     basis_module_weights,
     build_kac_module,
+    build_simple_module,
     root_target_weights,
     target_weight_space,
     weight_decomposition,
 )
-from ptilde2.superalgebra import build_p_tilde_2
+from ptilde2.superalgebra import build_p_tilde_2, grade_zero_subalgebra
+from dense_reference import kac_actions, simple_actions
 
 
 def random_block(rng, p, kind, rows, cols):
@@ -182,6 +184,31 @@ def test_inner_span_and_coset_representatives_match_loops(p):
                 got = [der.cochain(k) for k in _independent_modulo(ider[s], der.space.basis)]
                 want = coset_reference(ider[s], der)
                 assert [c.flat().tolist() for c in got] == [c.flat().tolist() for c in want]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_closed_form_builds_match_the_entry_loops(p):
+    g = build_p_tilde_2(p)
+    g0 = grade_zero_subalgebra(g)
+    for a in range(p):
+        for b in range(p):
+            km = build_kac_module(g, a, b)
+            assert np.array_equal(km.actions, np.stack(kac_actions(g, a, b))), (a, b)
+            simple = build_simple_module(g0, a, b)
+            assert np.array_equal(simple.actions, np.stack(simple_actions(g0, a, b))), (a, b)
+
+
+def test_actions_are_read_only_and_their_entries_are_read_once():
+    g = build_p_tilde_2(5)
+    for m in (build_kac_module(g, 0, 3), build_simple_module(grade_zero_subalgebra(g), 1, 4)):
+        assert m.actions.shape == (m.algebra.dim, m.dim, m.dim)
+        with pytest.raises(ValueError, match="read-only"):
+            m.actions[0, 0, 0] = 1
+        *where, values = m.entries
+        want = np.nonzero(m.actions)
+        assert all(np.array_equal(x, y) for x, y in zip(where, want))
+        assert np.array_equal(values, m.actions[want]) and np.all(values != 0)
+        assert m.entries is m.entries
 
 
 def violations_reference(m):

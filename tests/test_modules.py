@@ -5,6 +5,7 @@ import pytest
 
 from ptilde2.linalg import Subspace
 from ptilde2.modules import (
+    GModule,
     RepresentationError,
     basis_module_weights,
     build_kac_module,
@@ -221,6 +222,15 @@ class TestTargetWeightSpaces:
     def test_non_root_weight_rejected_by_case_table(self):
         with pytest.raises(KeyError):
             case_table_weight_space(5, 0, 3, Weight(2, 2))
+
+
+@pytest.mark.parametrize("shift", [-5, 10])
+def test_actions_are_stored_reduced_mod_p(g5, shift):
+    km = build_kac_module(g5, 0, 3)
+    actions = [a + shift for a in km.actions]
+    m = GModule(algebra=g5, labels=km.labels, parity=km.parity, actions=actions)
+    assert np.array_equal(m.actions, km.actions)
+    m.validate()
 
 
 class TestJson:

@@ -30,10 +30,10 @@ def flipped_kac(label, row, col, weight=(0, 3)):
             if self.highest_weight != weight:
                 return
             i = self.algebra.index(label)
-            bent = self.actions[i].copy()
-            assert bent[row, col], "the planted entry must be nonzero"
-            bent[row, col] = -bent[row, col] % self.p
-            self.actions[i] = bent
+            bent = self.actions.copy()
+            assert bent[i, row, col], "the planted entry must be nonzero"
+            bent[i, row, col] = -bent[i, row, col] % self.p
+            self.actions = bent
 
     return Flipped
 
@@ -83,7 +83,9 @@ def test_sign_flip_is_one_stderr_line_of_every_command(monkeypatch, args):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1
-    assert "representation law fails" in lines[0]
+    # a scan names its failing cell; h1 and export build only the cell they were given
+    cell = "K(0,3): " if args[0] == "scan" else ""
+    assert lines[0].startswith(f"module build failed: {cell}representation law fails")
 
 
 def test_sign_flip_is_one_finding_per_grid_suite_of_the_shared_walk(monkeypatch):
@@ -164,6 +166,29 @@ def test_wrong_case_table_entry_fails_the_weights_suite(monkeypatch):
     result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "weights"])
     assert result.exit_code == 1
     assert "case-table mismatch" in result.output
+
+
+def test_wrong_basis_weights_are_findings_in_basis_order(g5):
+    # h2 off by one on g*v0 and g*v1, h1 on 1*v1: an unvalidated K(0, 3)
+    km = build_kac_module(g5, 0, 3)
+    bent = km.actions.copy()
+    h1, h2 = g5.index("h1"), g5.index("h2")
+    for x, i in ((h2, km.odd_index(0)), (h1, km.even_index(1)), (h2, km.odd_index(1))):
+        bent[x, i, i] += 1
+    wrong = KacModule(
+        algebra=g5,
+        labels=km.labels,
+        parity=km.parity,
+        actions=bent,
+        highest_weight=km.highest_weight,
+        top_index=km.top_index,
+    )
+    assert cli._weight_findings(wrong, None) == [
+        "weight of odd basis 0 wrong at (0,3)",
+        "weight of even basis 1 wrong at (0,3)",
+        "weight of odd basis 1 wrong at (0,3)",
+        "case-table mismatch at (p=5, a=0, b=3, w=Weight(w1=1, w2=4))",
+    ]
 
 
 def relabelled_k01():
