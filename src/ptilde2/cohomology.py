@@ -56,6 +56,7 @@ import numpy as np
 
 from .linalg import (
     Subspace,
+    _inverse_table,
     _reversed_kernels,
     _rref_batched,
     _rref_in_place,
@@ -412,17 +413,36 @@ def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
 
 
 def inner_space(g: Superalgebra, m: GModule) -> tuple[Subspace, Subspace]:
-    """(even, odd) spans of the inner derivations of all module basis vectors."""
-    n = m.dim * g.dim
+    """(even, odd) spans of the inner derivations of all module basis vectors.
+
+    Action entry (x, r, c, v) puts sign(|x||c|) * v at flat position
+    r * dim g + x of the inner row of basis vector c.  When no two rows of one
+    parity share a position, as in a weight basis of K(a, b), whose weights
+    are multiplicity-free, the nonzero rows scaled to a leading 1 and sorted
+    by leading column are the canonical basis; otherwise they are eliminated.
+    """
+    p, n = m.p, m.dim * g.dim
     mpar = np.asarray(m.parity)
-    # row r, the inner derivation of basis vector r: entry (s, j) is
-    # sign(|x_j| |r|) * actions[j][s, r], at flat position s * dim g + j
-    signs = np.where(np.outer(mpar, g.parity) % 2, -1, 1)  # [r, j]
-    rows = signs[:, None, :] * m.actions.transpose(2, 1, 0)  # [r, s, j]
-    rows = rows.reshape(m.dim, n)
-    return tuple(
-        Subspace.from_spanning(m.p, n, rows[mpar == parity]) for parity in (0, 1)
-    )
+    x, r, c, v = m.entries
+    pos = r * g.dim + x
+    val = np.where(np.asarray(g.parity)[x] * mpar[c] % 2, p - v, v)
+    spaces = []
+    for parity in (0, 1):
+        mine = np.flatnonzero(mpar[c] == parity)
+        mine = mine[np.argsort(pos[mine])]
+        row, at, vals = c[mine], pos[mine], val[mine]
+        if np.any(at[1:] == at[:-1]):
+            rows = np.zeros((m.dim, n), dtype=np.int64)
+            rows[row, at] = vals
+            spaces.append(Subspace.from_spanning(p, n, rows))
+            continue
+        # each row's first entry in position order is its leading one
+        _, first, which = np.unique(row, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        basis = np.zeros((first.size, n), dtype=np.int64)
+        basis[rank[which], at] = vals * _inverse_table(p)[vals[first]][which] % p
+        spaces.append(Subspace(p, n, basis))
+    return tuple(spaces)
 
 
 # The closed form for dim H1, one entry per regime: (clause, a+b mod p,

@@ -12,13 +12,16 @@ in reverse order, and each free column f then carries the kernel vector with
 right of f in the original order.  Those vectors are already the canonical
 reduced basis.  _rref_batched applies the same elimination, column by column,
 to a whole stack of small zero-padded matrices at once, which is how the
-cohomology solver reduces all its weight blocks together.  The single-matrix
-RREF pays only for nonzeros: it keeps the columns that hold one, finds each
-next pivot from the rows' leading columns, and updates only the rows with a
-nonzero in the pivot column.  Membership is a residual: w lies in the span
-of a canonical basis B with pivot columns P exactly when w - w[P] B = 0,
-and w[P] B is summed per column from one term w[P_k] B[k, c] per nonzero of
-B, so a sparse basis costs its nonzeros, not its full width.
+cohomology solver reduces all its weight blocks together; at each column it
+updates only the (matrix, row) pairs the pivot column hits.  The
+single-matrix RREF pays only for nonzeros too: it keeps the columns that
+hold one, finds each next pivot from the rows' leading columns, and updates
+only the rows with a nonzero in the pivot column.  Membership is a
+residual: w lies in the span of a canonical basis B with pivot columns P
+exactly when w - w[P] B = 0, and w[P] B is summed per column from one term
+w[P_k] B[k, c] per nonzero of B, so a sparse basis costs its nonzeros, not
+its full width.  Stored grids are read-only copies, reduced mod p only when
+an entry lies outside [0, p).
 
 The modulus is bounded by MAX_MODULUS = 2^16, so a product of two residues is
 below 2^32 and any sum of fewer than 2^31 such products stays below 2^63:
@@ -83,9 +86,12 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def _frozen_grid(p: int, data) -> np.ndarray:
-    arr = np.mod(np.asarray(data, dtype=np.int64), p)
+    """A read-only copy of data mod p, reduced only when an entry lies outside [0, p)."""
+    arr = np.array(data, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d entry grid, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= p):
+        np.mod(arr, p, out=arr)
     arr.setflags(write=False)
     return arr
 
@@ -143,7 +149,8 @@ def _rref_batched(a: np.ndarray, p: int) -> np.ndarray:
     """Reduce every slice a[b] of a (blocks, rows, cols) stack to RREF in place.
 
     Each slice gets exactly the pivot rule of _rref_in_place; one loop over
-    the columns serves all slices.  Returns the (blocks, cols) pivot mask.
+    the columns serves all slices and changes only the rows each column hits.
+    Returns the (blocks, cols) pivot mask.
     """
     nb, m, n = a.shape
     pivot = np.zeros((nb, n), dtype=bool)
@@ -155,18 +162,17 @@ def _rref_batched(a: np.ndarray, p: int) -> np.ndarray:
         live = np.nonzero(candidate.any(axis=1))[0]
         if live.size == 0:
             continue
-        k = np.arange(live.size)
         src = candidate[live].argmax(axis=1)
         dst = rank[live]
-        sub = a[live]
-        top = sub[k, src]
-        sub[k, src] = sub[k, dst]
+        top = a[live, src]
+        a[live, src] = a[live, dst]
         top = top * inverse[top[:, c]][:, None] % p
-        sub[k, dst] = top
-        factor = sub[:, :, c].copy()
-        factor[k, dst] = 0
-        sub -= factor[:, :, None] * top[:, None, :]
-        a[live] = sub % p
+        a[live, dst] = top
+        k, r = np.nonzero(a[live, :, c])
+        hit = r != dst[k]
+        k, r = k[hit], r[hit]
+        b = live[k]
+        a[b, r] = (a[b, r] - a[b, r, c, None] * top[k]) % p
         pivot[live, c] = True
         rank[live] += 1
     return pivot

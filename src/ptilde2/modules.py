@@ -4,8 +4,9 @@ machinery including the canonical-residue case analysis for the seven root
 weights.
 
 A module holds one read-only array of action matrices, one per algebra basis
-element, whose nonzero entries are read once, on first use, by every reader:
-the parity check, the derivation system and the representation law
+element, whose nonzero entries are read once, on first use, by every reader
+(a reassigned array is read afresh): the inner derivations, the parity
+check, the derivation system and the representation law
 
     action([x, y]) = action(x) action(y) - (-1)^{|x||y|} action(y) action(x)
 
@@ -57,6 +58,30 @@ def residue(c, p: int) -> int:
     return int(c) % p
 
 
+class _Actions:
+    """GModule.actions: every assignment, the constructor's included, is stacked
+    into one int64 array, checked, reduced mod p and frozen, and drops entries."""
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            raise AttributeError("actions")  # a required field: no class default
+        return m._actions
+
+    def __set__(self, m, actions):
+        mats = [np.asarray(a, dtype=np.int64) for a in actions]
+        for a in mats:
+            if a.shape != (m.dim, m.dim):
+                raise ValueError(f"action matrix shape {a.shape}, expected square of {m.dim}")
+        if len(mats) != m.algebra.dim:
+            raise ValueError("need one action matrix per algebra basis element")
+        acts = np.stack(mats)
+        if acts.size and (acts.min() < 0 or acts.max() >= m.p):
+            np.mod(acts, m.p, out=acts)
+        acts.setflags(write=False)
+        m.__dict__.pop("entries", None)
+        m._actions = acts
+
+
 @dataclass(eq=False)
 class GModule:
     """A module: actions[i] is basis element i's matrix mod p, in one read-only int64 array."""
@@ -64,26 +89,14 @@ class GModule:
     algebra: Superalgebra
     labels: tuple[str, ...]
     parity: tuple[int, ...]
-    actions: np.ndarray
+    actions: np.ndarray = _Actions()
     highest_weight: tuple[int, int] | None = None
 
     def __post_init__(self):
-        p = self.algebra.p
         if len(self.parity) != self.dim or not set(self.parity) <= {0, 1}:
             raise ValueError(f"need one parity in {{0, 1}} per basis vector, got {self.parity}")
         if self.highest_weight is not None and len(self.highest_weight) != 2:
             raise ValueError(f"highest weight must have 2 entries, got {self.highest_weight}")
-        mats = [np.asarray(m, dtype=np.int64) for m in self.actions]
-        for a in mats:
-            if a.shape != (self.dim, self.dim):
-                raise ValueError(f"action matrix shape {a.shape}, expected square of {self.dim}")
-        if len(mats) != self.algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        acts = np.stack(mats)
-        if acts.size and (acts.min() < 0 or acts.max() >= p):
-            np.mod(acts, p, out=acts)
-        acts.setflags(write=False)
-        self.actions = acts
 
     @property
     def p(self) -> int:

@@ -3,7 +3,9 @@
 Each reference below is the form a kernel replaced: per-matrix elimination
 for the batched one, a second RREF pass for the kernel readout, row-by-row
 elimination for membership, one from_spanning per coset representative, a
-loop over inner_derivation for the inner span, the dense einsum for the
+loop over inner_derivation for the inner span (on Kac modules, whose inner
+rows are read off their entries, and on one in a basis with no weight
+grading, whose rows are eliminated), the dense einsum for the
 representation law, the loop over action entries for the parity split, one
 weight read per root weight for the weight spaces, the dense product for
 the membership residual, the sweep over every column for the RREF, a
@@ -62,13 +64,13 @@ def random_block(rng, p, kind, rows, cols):
 
 @st.composite
 def ragged_stacks(draw):
-    p = draw(st.sampled_from([3, 5, 7]))
+    p = draw(st.sampled_from([3, 5, 7, 23]))
     specs = draw(
         st.lists(
             st.tuples(
                 st.sampled_from(["zero", "random", "full"]),
-                st.integers(0, 6),
-                st.integers(0, 6),
+                st.integers(0, 48),
+                st.integers(0, 8),
             ),
             min_size=1,
             max_size=6,
@@ -171,19 +173,53 @@ def inner_space_reference(g, m):
     )
 
 
+def fp_inverse(a, p):
+    n = a.shape[0]
+    reduced, rank = FpMatrix(p, np.hstack([a, np.eye(n, dtype=np.int64)])).rref()
+    assert rank == n and np.array_equal(reduced.data[:, :n], np.eye(n, dtype=np.int64))
+    return reduced.data[:, n:]
+
+
+def conjugated_kac(g, a, b, seed):
+    """K(a, b) in a random basis that keeps the even and the odd vectors apart."""
+    km = build_kac_module(g, a, b)
+    rng = np.random.default_rng(seed)
+    n = km.dim // 2
+    change = np.zeros((km.dim, km.dim), dtype=np.int64)
+    for half in (slice(0, n), slice(n, km.dim)):
+        lower = np.tril(rng.integers(0, g.p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(1, g.p, size=(n, n)))
+        change[half, half] = lower @ upper % g.p
+    back = fp_inverse(change, g.p)
+    actions = [back @ act @ change % g.p for act in km.actions]
+    m = GModule(algebra=g, labels=km.labels, parity=km.parity, actions=actions)
+    m.validate()
+    return m
+
+
+def inner_rows_overlap(g, m):
+    """Whether two inner rows of one parity share a flat position."""
+    x, r, c, _ = m.entries
+    keys = np.asarray(m.parity)[c] * m.dim * g.dim + r * g.dim + x
+    return np.unique(keys).size < keys.size
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_inner_span_and_coset_representatives_match_loops(p):
     g = build_p_tilde_2(p)
-    for a in range(p):
-        for b in range(p):
-            km = build_kac_module(g, a, b)
-            ider = inner_space(g, km)
-            assert ider == inner_space_reference(g, km)
-            for s in (0, 1):
-                der = derivation_space(g, km, s)
-                got = [der.cochain(k) for k in _independent_modulo(ider[s], der.space.basis)]
-                want = coset_reference(ider[s], der)
-                assert [c.flat().tolist() for c in got] == [c.flat().tolist() for c in want]
+    modules = [build_kac_module(g, a, b) for a in range(p) for b in range(p)]
+    assert not any(inner_rows_overlap(g, km) for km in modules)
+    # a basis with no weight grading: the inner rows overlap, so they are eliminated
+    modules.append(conjugated_kac(g, 0, p - 2, seed=p))
+    assert inner_rows_overlap(g, modules[-1])
+    for km in modules:
+        ider = inner_space(g, km)
+        assert ider == inner_space_reference(g, km)
+        for s in (0, 1):
+            der = derivation_space(g, km, s)
+            got = [der.cochain(k) for k in _independent_modulo(ider[s], der.space.basis)]
+            want = coset_reference(ider[s], der)
+            assert [c.flat().tolist() for c in got] == [c.flat().tolist() for c in want]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -209,6 +245,22 @@ def test_actions_are_read_only_and_their_entries_are_read_once():
         assert all(np.array_equal(x, y) for x, y in zip(where, want))
         assert np.array_equal(values, m.actions[want]) and np.all(values != 0)
         assert m.entries is m.entries
+
+
+def test_reassigned_actions_drop_the_cached_entries():
+    g = build_p_tilde_2(5)
+    km = build_kac_module(g, 0, 3)  # validated, so its entries are read
+    bent = km.actions.copy()
+    bent[g.index("alpha"), 0, 1] *= -1
+    km.actions = bent
+    fresh = GModule(algebra=g, labels=km.labels, parity=km.parity, actions=bent)
+    assert km.representation_violations() == fresh.representation_violations() != []
+    assert np.array_equal(km.actions, fresh.actions) and km.actions.min() >= 0
+    assert all(np.array_equal(x, y) for x, y in zip(km.entries, fresh.entries))
+    with pytest.raises(ValueError, match="read-only"):
+        km.actions[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="one action matrix per"):
+        km.actions = bent[:-1]
 
 
 def violations_reference(m):
