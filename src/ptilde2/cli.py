@@ -26,6 +26,8 @@ import numpy as np
 from .cohomology import (
     SolverFailure,
     _h1_batch,
+    _independent_modulo,
+    _predicted_by_parity,
     cartan_values_annihilated,
     derivation_residual,
     h1,
@@ -36,7 +38,7 @@ from .cohomology import (
 from .linalg import check_odd_prime
 from .modules import (
     RepresentationError,
-    _case_table_rows,
+    _case_table,
     _module_weights,
     build_kac_module,
     build_simple_module,
@@ -44,7 +46,6 @@ from .modules import (
     residue,
     residue_comparisons,
     residue_shift_table,
-    root_target_weights,
 )
 from .superalgebra import (
     Weight,
@@ -334,21 +335,22 @@ def _weight_findings(km, outcome) -> list[str]:
     wrong = np.any(weights.reshape(2, t + 1, 2) != want, axis=2)
     for k, parity in zip(*np.nonzero(wrong.T)):
         failures.append(f"weight of {('even', 'odd')[parity]} basis {k} wrong at ({a},{b})")
-    codes = weights[:, 0] * p + weights[:, 1]
-    for w in root_target_weights(p):
-        found = np.flatnonzero(codes == w[0] * p + w[1])
-        if not np.array_equal(found, _case_table_rows(p, a, b, w)):
+    table = _case_table(p, a, b)
+    # [root weight, basis vector]: which basis vectors have each root weight
+    found = weights[:, 0] * p + weights[:, 1] == np.array([[x * p + y] for x, y in table])
+    for (w, rows), hits in zip(table.items(), found):
+        if np.flatnonzero(hits).tolist() != rows:
             failures.append(f"case-table mismatch at (p={p}, a={a}, b={b}, w={w})")
     return failures
 
 
 def _lemma_findings(km, outcome) -> list[str]:
-    """The derivation lemmas at one cell, over the WDer and Ider of its h1."""
+    """The derivation lemmas and the cocycle basis at one cell, over its h1's WDer and Ider."""
     g, (a, b) = km.algebra, km.highest_weight
     if isinstance(outcome, SolverFailure):
         return [f"solver failure at ({a},{b}): {outcome}"]
     failures = []
-    _, wder, ider = outcome
+    report, wder, ider = outcome
     bad = cartan_values_annihilated(g, km, cochains=wder[0].basis + wder[1].basis)
     if bad:
         failures.append(f"Cartan values not annihilated at ({a},{b}): {bad[:3]}")
@@ -357,6 +359,11 @@ def _lemma_findings(km, outcome) -> list[str]:
     except ValueError:
         return failures
     for pos, c in enumerate(cocycles):
+        try:
+            c.check_coherent(g, km)
+        except ValueError:
+            failures.append(f"cocycle {pos} at ({a},{b}) is not of parity {c.parity}")
+            continue
         residuals = [
             (i, j)
             for i in range(g.dim)
@@ -367,6 +374,16 @@ def _lemma_findings(km, outcome) -> list[str]:
             failures.append(f"cocycle {pos} at ({a},{b}) has residuals {residuals[:3]}")
         if ider[c.parity].contains(c.flat()):
             failures.append(f"cocycle {pos} at ({a},{b}) is inner")
+    if failures:
+        return failures
+    # all else holds here: the cocycles of each parity must be a basis of H1 of that parity
+    for s, want in enumerate(_predicted_by_parity(g.p, a, b)):
+        rows = np.array([c.flat() for c in cocycles if c.parity == s], dtype=np.int64)
+        free = len(_independent_modulo(ider[s], rows.reshape(-1, ider[s].ambient_dim)))
+        h1_s = (report.dims.h1_even, report.dims.h1_odd)[s]
+        if not free == len(rows) == h1_s == want:
+            failures.append(f"parity-{s} cocycles at ({a},{b}) are not a basis of H1: {free} of "
+                            f"{len(rows)} independent modulo Ider, h1 {h1_s}, closed form {want}")
     return failures
 
 

@@ -63,7 +63,7 @@ from .linalg import (
     check_odd_prime,
 )
 from .modules import GModule, _kac_index, build_kac_module, residue
-from .superalgebra import P2_LABELS, Superalgebra, _diagonal_weights, build_p_tilde_2
+from .superalgebra import P2_LABELS, Superalgebra, _root_weights, build_p_tilde_2
 
 __all__ = [
     "Cochain",
@@ -234,8 +234,8 @@ def _weight_codes(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray, 
     is a single block.
     """
     p = g.p
-    roots = _diagonal_weights(g, g.structure)
-    wts = _diagonal_weights(g, m.actions)
+    roots = _root_weights(g)
+    wts = m.weights
     diagonal = roots is not None and wts is not None
     if not diagonal:
         roots = np.zeros((g.dim, 2), dtype=np.int64)
@@ -446,15 +446,15 @@ def inner_space(g: Superalgebra, m: GModule) -> tuple[Subspace, Subspace]:
 
 
 # The closed form for dim H1, one entry per regime: (clause, a+b mod p,
-# p - residue(b), dim H1).  For odd p no two regimes overlap.
+# p - residue(b), dim H1, parity of H1).  For odd p no two regimes overlap.
 _REGIMES = (
-    ("dim2:a+b=-2,res(b)=p-2", -2, 2, 2),
-    ("dim1:a+b=-2,res(b)=p-1", -2, 1, 1),
-    ("dim1:a+b=-4,res(b)=p-1", -4, 1, 1),
+    ("dim2:a+b=-2,res(b)=p-2", -2, 2, 2, 1),
+    ("dim1:a+b=-2,res(b)=p-1", -2, 1, 1, 1),
+    ("dim1:a+b=-4,res(b)=p-1", -4, 1, 1, 0),
 )
 
 
-def _regimes(p: int, a, b) -> list[tuple[str, int, int, int]]:
+def _regimes(p: int, a, b) -> list[tuple[str, int, int, int, int]]:
     """The _REGIMES entries that (a, b) matches, in table order."""
     p = check_odd_prime(p)
     s, x = residue(a + b, p), residue(b, p)
@@ -463,7 +463,13 @@ def _regimes(p: int, a, b) -> list[tuple[str, int, int, int]]:
 
 def predict_h1(p: int, a, b) -> int:
     """Closed-form dimension of H1 for the Kac module with highest weight (a, b)."""
-    return sum(dim for *_, dim in _regimes(p, a, b))
+    return sum(dim for _, _, _, dim, _ in _regimes(p, a, b))
+
+
+def _predicted_by_parity(p: int, a, b) -> tuple[int, int]:
+    """The closed form's dim H1 per parity, (even, odd)."""
+    regimes = _regimes(p, a, b)
+    return tuple(sum(dim for *_, dim, parity in regimes if parity == s) for s in (0, 1))
 
 
 def predictor_clauses(p: int, a, b) -> tuple[str, ...]:
@@ -486,7 +492,7 @@ def outer_cocycles(p: int, a, b) -> list[Cochain]:
         raise ValueError(
             f"(a, b) = ({a}, {b}) mod {p} lies outside the three outer-cocycle regimes"
         )
-    _, s, gap, _ = matched[0]
+    _, s, gap, *_ = matched[0]
     t = residue(b - a, p)
     n = 2 * (t + 1)
     idx = {lab: i for i, lab in enumerate(P2_LABELS)}

@@ -4,13 +4,18 @@ machinery including the canonical-residue case analysis for the seven root
 weights.
 
 A module holds one read-only array of action matrices, one per algebra basis
-element, whose nonzero entries are read once, on first use, by every reader
-(a reassigned array is read afresh): the inner derivations, the parity
-check, the derivation system and the representation law
+element.  Its nonzero entries and its basis weights (the Cartan diagonals)
+are read once, on first use, by every reader (a reassigned array is read
+afresh): the inner derivations, the parity check, the derivation system,
+the weight spaces and the representation law
 
     action([x, y]) = action(x) action(y) - (-1)^{|x||y|} action(y) action(x)
 
-with the bracket expanded through the structure constants.
+with the bracket expanded through the structure constants.  A weight module
+(distinct basis weights, each entry shifting weight by its root) has one
+nonzero per action column, so its law is one scalar per (pair, column): a
+table of one matrix product and two gathers.  Any other module is checked by
+a sorted join of its entries.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from .superalgebra import (
     P2_LABELS,
     Superalgebra,
     Weight,
-    _diagonal_weights,
     _json_integers,
+    _json_labels,
+    _root_weights,
     _weight_spaces,
 )
 
@@ -59,8 +65,9 @@ def residue(c, p: int) -> int:
 
 
 class _Actions:
-    """GModule.actions: every assignment, the constructor's included, is stacked
-    into one int64 array, checked, reduced mod p and frozen, and drops entries."""
+    """GModule.actions: every assignment, the constructor's included, is copied
+    into one int64 array, checked, reduced mod p and frozen, and drops the
+    cached entries and weights."""
 
     def __get__(self, m, owner=None):
         if m is None:
@@ -68,17 +75,19 @@ class _Actions:
         return m._actions
 
     def __set__(self, m, actions):
-        mats = [np.asarray(a, dtype=np.int64) for a in actions]
+        whole = isinstance(actions, np.ndarray) and actions.ndim == 3 and actions.dtype.kind in "iu"
+        mats = actions.astype(np.int64) if whole else [np.asarray(a, np.int64) for a in actions]
         for a in mats:
             if a.shape != (m.dim, m.dim):
                 raise ValueError(f"action matrix shape {a.shape}, expected square of {m.dim}")
         if len(mats) != m.algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
-        acts = np.stack(mats)
+        acts = mats if whole else np.stack(mats)
         if acts.size and (acts.min() < 0 or acts.max() >= m.p):
             np.mod(acts, m.p, out=acts)
         acts.setflags(write=False)
         m.__dict__.pop("entries", None)
+        m.__dict__.pop("weights", None)
         m._actions = acts
 
 
@@ -115,36 +124,27 @@ class GModule:
     def act(self, i: int, v) -> np.ndarray:
         return (self.actions[i] @ np.asarray(v, dtype=np.int64)) % self.p
 
-    def representation_violations(self) -> list[tuple[int, int]]:
-        """Ordered algebra basis pairs where the representation law fails.
+    @cached_property
+    def weights(self) -> np.ndarray | None:
+        """Read-only (h1, h2) weights of the basis; None if a Cartan entry is off-diagonal."""
+        x, r, c, v = self.entries
+        weights = np.zeros((self.dim, 2), dtype=np.int64)
+        for col, h in enumerate(self.algebra.cartan):
+            on = x == h
+            if np.any(r[on] != c[on]):
+                return None
+            weights[r[on], col] = v[on]
+        weights.setflags(write=False)
+        return weights
 
-        Every term of action([x_i, x_j]) - x_i x_j + sign x_j x_i is formed
-        from the nonzero entries alone, as a (pair, row, col, value) entry;
-        one sort of the keys sums the entries with exact integer reductions.
+    def representation_violations(self) -> list[tuple[int, int]]:
+        """Algebra basis pairs (i, j) where the representation law fails, in order.
+
+        A weight module is checked weight by weight, any other by the sparse
+        join of its entries; both give the same pairs.
         """
-        dg, dm = self.algebra.dim, self.dim
-        pair, sk, sc, sign = _law_constants(self.algebra)
-        ax, ar, ac, av = self.entries
-        # action([x_i, x_j]) = sum_k c_ijk action(x_k): constant c_ijk meets entries of x_k
-        s, e = _join(sk, ax)
-        # (x_u x_w)[row, col] from entries (u, row, mid) and (w, mid, col) enters
-        # the pair (u, w) with sign -1 and the pair (w, u) with sign (-1)^{|x_u||x_w|}
-        u, w = _join(ac, ar)
-        xu, xw = ax[u], ax[w]
-        prod = av[u] * av[w]
-        cell = ar[u] * dm + ac[w]
-        pairs = np.concatenate([pair[s], xu * dg + xw, xw * dg + xu])
-        keys = pairs * dm * dm + np.concatenate([ar[e] * dm + ac[e], cell, cell])
-        val = np.concatenate([sc[s] * av[e], -prod, sign[xu, xw] * prod])
-        if val.size == 0:
-            return []
-        order = np.argsort(keys)
-        keys, val = keys[order], val[order]
-        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        sums = np.add.reduceat(val, starts) % self.p
-        # keys are sorted, so the failing pairs come out in order
-        bad = (keys[starts[sums != 0]] // (dm * dm)).tolist()
-        return [(k // dg, k % dg) for k in dict.fromkeys(bad)]
+        bad = _weighted_violations(self)
+        return _joined_violations(self) if bad is None else bad
 
     def parity_violations(self) -> list[tuple[int, int, int]]:
         """Entries (i, r, c) where action i does not respect the parity split."""
@@ -163,11 +163,75 @@ class GModule:
 
 
 @lru_cache(maxsize=32)
-def _law_constants(g: Superalgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Once per algebra: each c_ijk != 0 as (i * dim g + j, k, c_ijk), and (-1)^{|x_u||x_w|}."""
+def _law_constants(g: Superalgebra) -> tuple:
+    """Once per algebra: each c_ijk != 0 as (i * dim g + j, k, c_ijk), (-1)^{|x_u||x_w|}, and
+    the roots, or None unless every c_ijk != 0 has root(k) = root(i) + root(j)."""
     si, sj, sk = np.nonzero(g.structure)
     par = np.asarray(g.parity)
-    return si * g.dim + sj, sk, g.structure[si, sj, sk], np.where(np.outer(par, par) % 2, -1, 1)
+    roots = _root_weights(g)
+    if roots is not None and np.any((roots[si] + roots[sj] - roots[sk]) % g.p):
+        roots = None
+    sign = np.where(np.outer(par, par) % 2, -1, 1)
+    return si * g.dim + sj, sk, g.structure[si, sj, sk], sign, roots
+
+
+def _weighted_violations(m: GModule) -> list[tuple[int, int]] | None:
+    """The failing pairs of a weight module, in order; None for any other module.
+
+    Column c of action x holds one nonzero at most, value[x, c] at row
+    target[x, c], so column c of the law at (i, j) is the scalar
+    sum_k c_ijk value[k, c] - value[i, target[j, c]] value[j, c]
+    + (-1)^{|x_i||x_j|} value[j, target[i, c]] value[i, c] on the one vector
+    of weight wt(c) + root(i) + root(j).
+    """
+    g, p, w = m.algebra, m.p, m.weights
+    *_, sign, roots = _law_constants(g)
+    if roots is None or w is None:
+        return None
+    x, r, c, v = m.entries
+    codes = w[:, 0] * p + w[:, 1]
+    shifted = (w[c] + roots[x]) % p
+    if np.unique(codes).size < m.dim or np.any(codes[r] != shifted[:, 0] * p + shifted[:, 1]):
+        return None
+    dg, dm = g.dim, m.dim
+    target, value = np.zeros((2, dg, dm), dtype=np.int64)
+    target[x, c], value[x, c] = r, v
+    hop = value[:, target]  # [i, j, c] = value[i, target[j, c]]
+    law = (g.structure.reshape(dg * dg, dg) @ value).reshape(dg, dg, dm) - hop * value
+    law += sign[:, :, None] * hop.transpose(1, 0, 2) * value[:, None, :]
+    return [(k // dg, k % dg) for k in np.flatnonzero(np.any(law % p, axis=2)).tolist()]
+
+
+def _joined_violations(m: GModule) -> list[tuple[int, int]]:
+    """The failing pairs of any module, in order, from a join of its entries.
+
+    Every term of action([x_i, x_j]) - x_i x_j + sign x_j x_i is formed from
+    the nonzero entries alone, as a (pair, row, col, value) entry; one sort
+    of the keys sums the entries with exact integer reductions.
+    """
+    dg, dm = m.algebra.dim, m.dim
+    pair, sk, sc, sign, _ = _law_constants(m.algebra)
+    ax, ar, ac, av = m.entries
+    # action([x_i, x_j]) = sum_k c_ijk action(x_k): constant c_ijk meets entries of x_k
+    s, e = _join(sk, ax)
+    # (x_u x_w)[row, col] from entries (u, row, mid) and (w, mid, col) enters
+    # the pair (u, w) with sign -1 and the pair (w, u) with sign (-1)^{|x_u||x_w|}
+    u, w = _join(ac, ar)
+    xu, xw = ax[u], ax[w]
+    prod = av[u] * av[w]
+    cell = ar[u] * dm + ac[w]
+    pairs = np.concatenate([pair[s], xu * dg + xw, xw * dg + xu])
+    keys = pairs * dm * dm + np.concatenate([ar[e] * dm + ac[e], cell, cell])
+    val = np.concatenate([sc[s] * av[e], -prod, sign[xu, xw] * prod])
+    if val.size == 0:
+        return []
+    order = np.argsort(keys)
+    keys, val = keys[order], val[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sums = np.add.reduceat(val, starts) % m.p
+    # keys are sorted, so the failing pairs come out in order
+    bad = (keys[starts[sums != 0]] // (dm * dm)).tolist()
+    return [(k // dg, k % dg) for k in dict.fromkeys(bad)]
 
 
 @dataclass(eq=False)
@@ -270,6 +334,16 @@ def residue_shift_table(p: int, b) -> dict[str, tuple[int, int]]:
     return {k: (direct[k], tabulated[k]) for k in direct}
 
 
+# label strings are made once: fresh ones per build grew the heap of a grid walk by ~5 MB
+_LABELS: dict[str, list[str]] = {}
+
+
+def _basis_labels(prefix: str, n: int) -> tuple[str, ...]:
+    names = _LABELS.setdefault(prefix, [])
+    names.extend(f"{prefix}{k}" for k in range(len(names), n))
+    return tuple(names[:n])
+
+
 def _action_array(labels: tuple[str, ...], n: int, entries) -> np.ndarray:
     """The (len(labels), n, n) action array with each (label, rows, cols, values) written in."""
     acts = np.zeros((len(labels), n, n), dtype=np.int64)
@@ -301,8 +375,8 @@ def build_simple_module(g0: Superalgebra, a, b) -> GModule:
     ])
     m = GModule(
         algebra=g0,
-        labels=tuple(f"v{k}" for k in range(n)),
-        parity=tuple(0 for _ in range(n)),
+        labels=_basis_labels("v", n),
+        parity=(0,) * n,
         actions=actions,
         highest_weight=(a, b),
     )
@@ -340,11 +414,10 @@ def build_kac_module(g: Superalgebra, a, b) -> KacModule:
         ("beta", od[1:], od[:-1], 1),
         ("e24", ev[1:], od[:-1], p - 1),
     ])
-    labels = tuple(f"1*v{k}" for k in range(t + 1)) + tuple(f"g*v{k}" for k in range(t + 1))
     km = KacModule(
         algebra=g,
-        labels=labels,
-        parity=tuple(0 for _ in range(t + 1)) + tuple(1 for _ in range(t + 1)),
+        labels=_basis_labels("1*v", t + 1) + _basis_labels("g*v", t + 1),
+        parity=(0,) * (t + 1) + (1,) * (t + 1),
         actions=actions,
         highest_weight=(a, b),
         top_index=t,
@@ -360,7 +433,7 @@ def basis_module_weights(m: GModule) -> list[Weight]:
 
 def _module_weights(m: GModule) -> np.ndarray:
     """One (h1, h2) row of residues per module basis vector; raises unless diagonal."""
-    weights = _diagonal_weights(m.algebra, m.actions)
+    weights = m.weights
     if weights is None:
         raise ValueError("a Cartan element does not act diagonally on the module basis")
     return weights
@@ -422,24 +495,25 @@ def case_table_weight_space(p: int, a, b, w: Weight) -> Subspace:
     """
     p = check_odd_prime(p)
     n = 2 * (residue(b - a, p) + 1)
-    # unit rows at increasing indices (even before odd) are already canonical
-    return Subspace(p, n, np.eye(n, dtype=np.int64)[_case_table_rows(p, a, b, w)])
-
-
-def _case_table_rows(p: int, a: int, b: int, w: Weight) -> list[int]:
-    """Basis indices of K(a, b) spanning its weight space at a root weight, by the case table."""
-    key = (residue(w[0], p), residue(w[1], p))
-    # the seven root weights stay distinct mod any odd prime
-    branches = next((v for (x, y), v in _CASE_TABLE.items() if (x % p, y % p) == key), None)
-    if branches is None:
+    rows = _case_table(p, a, b).get((residue(w[0], p), residue(w[1], p)))
+    if rows is None:
         raise KeyError(f"{w} is not one of the seven root weights mod {p}")
+    # unit rows at increasing indices (even before odd) are already canonical
+    return Subspace(p, n, np.eye(n, dtype=np.int64)[rows])
+
+
+def _case_table(p: int, a: int, b: int) -> dict[Weight, list[int]]:
+    """Basis indices of K(a, b) spanning its weight space at each root weight, by case table."""
     t, x, s = residue(b - a, p), residue(b, p), residue(a + b, p)
-    rows = []
-    for parity, (off, cond, ab) in enumerate(branches):
-        k = residue(b + off, p)
-        if s == residue(ab, p) and _condition_holds(p, x, cond) and k <= t:
-            rows.append(_kac_index(t, parity, k))
-    return rows
+    table = {}
+    # the seven root weights stay distinct mod any odd prime
+    for w, branches in zip(root_target_weights(p), _CASE_TABLE.values()):
+        table[w] = []
+        for parity, (off, cond, ab) in enumerate(branches):
+            k = residue(b + off, p)
+            if s == residue(ab, p) and _condition_holds(p, x, cond) and k <= t:
+                table[w].append(_kac_index(t, parity, k))
+    return table
 
 
 def gmodule_to_json(m: GModule) -> dict:
@@ -457,7 +531,7 @@ def gmodule_from_json(data: dict, algebra: Superalgebra) -> GModule:
     lam = data.get("lambda")
     m = GModule(
         algebra=algebra,
-        labels=tuple(data["labels"]),
+        labels=_json_labels(data["labels"]),
         parity=tuple(_json_integers(data["parity"], "parity", 1).tolist()),
         actions=_json_integers(data["actions"], "actions", 3),
         highest_weight=None if lam is None else tuple(_json_integers(lam, "lambda", 1).tolist()),

@@ -227,16 +227,10 @@ def validate_superalgebra(g: Superalgebra) -> list[Violation]:
     return out
 
 
-def _diagonal_weights(g: Superalgebra, mats) -> np.ndarray | None:
-    """Cartan eigenvalues of each basis vector, one (h1, h2) row per vector.
-
-    mats[i] is the matrix of basis element i on the basis (ad, or a module
-    action); any orientation works, since only the Cartan diagonals are read.
-    Returns None when some Cartan matrix is not diagonal on the basis.
-    """
-    if len(g.cartan) != 2:
-        raise ValueError("expected a rank-2 Cartan index set")
-    blocks = np.stack([np.asarray(mats[c]) for c in g.cartan])
+def _root_weights(g: Superalgebra) -> np.ndarray | None:
+    """Root of each basis element, one (h1, h2) row per element, or None when ad
+    of some Cartan element is not diagonal on the basis."""
+    blocks = g.structure[list(g.cartan)]  # [h, j, k]: coefficient of x_k in [h, x_j]
     diags = np.diagonal(blocks, axis1=1, axis2=2)
     # any nonzero beyond those on the diagonals sits off the diagonal
     if np.count_nonzero(blocks) != np.count_nonzero(diags):
@@ -259,7 +253,7 @@ def basis_root_weights(g: Superalgebra) -> list[Weight]:
     Requires ad(h) diagonal on the chosen basis for every Cartan element h;
     raises otherwise.
     """
-    weights = _diagonal_weights(g, g.structure)
+    weights = _root_weights(g)
     if weights is None:
         raise ValueError("ad of a Cartan element is not diagonal on the basis")
     return [Weight(*w) for w in weights.tolist()]
@@ -292,11 +286,19 @@ def _json_integers(value, field: str, ndim: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _json_labels(value) -> tuple[str, ...]:
+    """Basis labels from a JSON list of distinct strings; anything else raises ValueError."""
+    strings = isinstance(value, list) and all(isinstance(x, str) for x in value)
+    if not strings or len(set(value)) < len(value):
+        raise ValueError("labels must be a list of distinct strings")
+    return tuple(value)
+
+
 def superalgebra_from_json(data: dict) -> Superalgebra:
     """Rebuild from the JSON dict; all axioms are re-validated on import."""
     g = Superalgebra(
         p=int(_json_integers(data["p"], "p", 0)),
-        labels=tuple(data["labels"]),
+        labels=_json_labels(data["labels"]),
         parity=tuple(_json_integers(data["parity"], "parity", 1).tolist()),
         zgrade=tuple(_json_integers(data["zgrade"], "zgrade", 1).tolist()),
         structure=_json_integers(data["structure"], "structure", 3),

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptilde2 import cli
 from ptilde2.cohomology import (
     Cochain,
     RouteDisagreement,
     SolverFailure,
+    _h1_batch,
+    _independent_modulo,
+    _predicted_by_parity,
     analyze,
     cartan_values_annihilated,
     derivation_residual,
@@ -215,6 +219,24 @@ class TestOuterCocycles:
     def test_outside_regime_raises(self):
         with pytest.raises(ValueError):
             outer_cocycles(5, 1, 1)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_a_basis_of_h1_per_parity_in_every_regime(self, p):
+        g = build_p_tilde_2(p)
+        cells = [(a, b) for a in range(p) for b in range(p) if predict_h1(p, a, b)]
+        assert len(cells) == 3
+        modules = [build_kac_module(g, a, b) for a, b in cells]
+        for km, outcome in zip(modules, _h1_batch(g, modules)):
+            report, _, ider = outcome
+            a, b = km.highest_weight
+            want = _predicted_by_parity(p, a, b)
+            assert sum(want) == predict_h1(p, a, b) == report.dims.h1_total
+            for s in (0, 1):
+                rows = [c.flat() for c in outer_cocycles(p, a, b) if c.parity == s]
+                assert len(rows) == want[s] == (report.dims.h1_even, report.dims.h1_odd)[s]
+                if rows:
+                    assert len(_independent_modulo(ider[s], np.stack(rows))) == len(rows)
+            assert cli._lemma_findings(km, outcome) == []
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_valid_and_outer_in_every_regime(self, p):

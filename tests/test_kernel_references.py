@@ -28,7 +28,7 @@ from ptilde2.cohomology import (
     inner_derivation,
     inner_space,
 )
-from ptilde2 import linalg
+from ptilde2 import linalg, modules
 from ptilde2.linalg import (
     FpMatrix,
     Subspace,
@@ -249,7 +249,7 @@ def test_actions_are_read_only_and_their_entries_are_read_once():
 
 def test_reassigned_actions_drop_the_cached_entries():
     g = build_p_tilde_2(5)
-    km = build_kac_module(g, 0, 3)  # validated, so its entries are read
+    km = build_kac_module(g, 0, 3)  # validated, so its entries and weights are read
     bent = km.actions.copy()
     bent[g.index("alpha"), 0, 1] *= -1
     km.actions = bent
@@ -257,10 +257,24 @@ def test_reassigned_actions_drop_the_cached_entries():
     assert km.representation_violations() == fresh.representation_violations() != []
     assert np.array_equal(km.actions, fresh.actions) and km.actions.min() >= 0
     assert all(np.array_equal(x, y) for x, y in zip(km.entries, fresh.entries))
+    # the assigned array is copied, never frozen or shared
+    assert bent.flags.writeable and not np.shares_memory(km.actions, bent)
     with pytest.raises(ValueError, match="read-only"):
         km.actions[0, 0, 0] = 1
     with pytest.raises(ValueError, match="one action matrix per"):
         km.actions = bent[:-1]
+    with pytest.raises(ValueError, match=r"shape \(7, 8\), expected square of 8"):
+        km.actions = bent[:, :-1]
+    # a bent Cartan diagonal gives fresh weights, and an off-diagonal Cartan entry none
+    h1 = g.index("h1")
+    before = km.weights.copy()
+    bent[h1, 0, 0] += 1
+    km.actions = bent
+    assert km.weights[0, 0] == (before[0, 0] + 1) % 5
+    assert np.array_equal(km.weights[1:], before[1:]) and km.weights[0, 1] == before[0, 1]
+    bent[h1, 0, 1] = 1
+    km.actions = bent
+    assert km.weights is None
 
 
 def violations_reference(m):
@@ -275,25 +289,67 @@ def violations_reference(m):
     return sorted({(int(i), int(j)) for i, j in zip(bad[0], bad[1])})
 
 
+def direct_sum(m, n):
+    """m + n over one algebra, as one module with block-diagonal actions."""
+    acts = np.zeros((m.algebra.dim, m.dim + n.dim, m.dim + n.dim), dtype=np.int64)
+    acts[:, : m.dim, : m.dim] = m.actions
+    acts[:, m.dim :, m.dim :] = n.actions
+    return GModule(
+        algebra=m.algebra, labels=m.labels + n.labels, parity=m.parity + n.parity, actions=acts
+    )
+
+
+def law_modules(p, rng):
+    """Kac and simple modules at p, the same in other bases, and single-entry perturbations."""
+    g = build_p_tilde_2(p)
+    g0 = grade_zero_subalgebra(g)
+    alpha, h1 = g.index("alpha"), g.index("h1")
+    for _ in range(30):
+        a, b = (int(x) for x in rng.integers(0, p, size=2))
+        km = build_kac_module(g, a, b)
+        for m in (km, build_simple_module(g0, a, b)):
+            yield m, True
+            acts = m.actions.copy()
+            i = int(rng.integers(0, m.algebra.dim))
+            r, c = (int(x) for x in rng.integers(0, m.dim, size=2))
+            acts[i, r, c] = (acts[i, r, c] + rng.integers(1, p)) % p
+            yield GModule(algebra=m.algebra, labels=m.labels, parity=m.parity, actions=acts), None
+            if m.entries[0].size:  # a new value at one of its entries keeps the weight grading
+                k = rng.integers(0, m.entries[0].size)
+                i, r, c = (int(x[k]) for x in m.entries[:3])
+                acts = m.actions.copy()
+                acts[i, r, c] = (acts[i, r, c] + rng.integers(1, p)) % p
+                yield GModule(m.algebra, m.labels, m.parity, acts), None
+        # one off-diagonal Cartan entry: no weights, so the law is the sparse join
+        acts = km.actions.copy()
+        acts[h1, 0, km.dim - 1] = 1
+        yield GModule(algebra=g, labels=km.labels, parity=km.parity, actions=acts), None
+        # K + K with one alpha entry re-pointed into the other copy: its target has
+        # the same weight, but the weights repeat, so only the sparse join sees the break
+        pair = direct_sum(km, km)
+        if km.top_index > 0:
+            acts = pair.actions.copy()
+            acts[alpha, km.dim, 1] = acts[alpha, 0, 1]
+            acts[alpha, 0, 1] = 0
+            yield GModule(algebra=g, labels=pair.labels, parity=pair.parity, actions=acts), False
+    yield conjugated_kac(g, 0, p - 2, seed=p), True
+
+
 def test_sparse_representation_law_matches_einsum():
+    """Both law paths, the weight table and the sparse join, against the dense einsum."""
     rng = np.random.default_rng(5)
-    cases = caught = 0
+    checked, caught = {True: 0, False: 0}, {True: 0, False: 0}
     for p in (3, 5, 7):
-        g = build_p_tilde_2(p)
-        for _ in range(60):
-            a, b = (int(x) for x in rng.integers(0, p, size=2))
-            km = build_kac_module(g, a, b)
-            assert km.representation_violations() == violations_reference(km) == []
-            acts = [x.copy() for x in km.actions]
-            i = int(rng.integers(0, g.dim))
-            r, c = (int(x) for x in rng.integers(0, km.dim, size=2))
-            acts[i][r, c] = (acts[i][r, c] + rng.integers(1, p)) % p
-            bent = GModule(algebra=g, labels=km.labels, parity=km.parity, actions=acts)
-            found = bent.representation_violations()
-            assert found == violations_reference(bent)
-            cases += 1
-            caught += bool(found)
-    assert cases == 180 and caught > 90
+        for m, holds in law_modules(p, rng):
+            found = m.representation_violations()
+            assert found == violations_reference(m) == modules._joined_violations(m)
+            if holds is not None:
+                assert (found == []) is holds
+            by_weight = modules._weighted_violations(m) is not None
+            checked[by_weight] += 1
+            caught[by_weight] += bool(found)
+    assert checked[True] > 250 and checked[False] > 350
+    assert caught[True] > 80 and caught[False] > 350
 
 
 def parity_violations_reference(m):

@@ -263,6 +263,9 @@ class TestJson:
             ("lambda", lambda x: [], "highest weight must have 2 entries"),
             ("parity", lambda x: [0.7] + x[1:], "parity must be integers"),
             ("actions", lambda x: [[[1.5] + x[0][0][1:]] + x[0][1:]] + x[1:], "actions must be"),
+            ("labels", lambda x: "abcdefgh", "labels must be a list of distinct strings"),
+            ("labels", lambda x: list(range(8)), "labels must be a list of distinct strings"),
+            ("labels", lambda x: ["x"] * 8, "labels must be a list of distinct strings"),
         ],
         ids=[
             "parity-short",
@@ -273,6 +276,9 @@ class TestJson:
             "lambda-empty",
             "parity-float",
             "action-float",
+            "labels-string",
+            "labels-integers",
+            "labels-repeated",
         ],
     )
     def test_import_rejects_a_malformed_field(self, g5, field, edit, message):

@@ -159,6 +159,56 @@ def test_inner_cocycle_is_a_lemma_suite_finding(monkeypatch, g5, label):
     assert "cocycle 0 at (0,3) is inner" in result.output
 
 
+def test_cocycle_twin_modulo_ider_is_a_lemma_suite_finding(monkeypatch, g5):
+    # the second cocycle of the pair regime replaced by the first plus an inner derivation
+    km = build_kac_module(g5, 0, 3)
+    first, _ = cohomology.outer_cocycles(5, 0, 3)
+    inner = inner_derivation(g5, km, np.eye(km.dim, dtype=np.int64)[km.labels.index("g*v1")])
+    assert inner.parity == first.parity == 1
+    twin = cohomology.Cochain(5, 1, (first.values + inner.values) % 5)
+    real = cli.outer_cocycles
+    monkeypatch.setattr(
+        cli, "outer_cocycles", lambda p, a, b: [first, twin] if (a, b) == (0, 3) else real(p, a, b)
+    )
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "lemmas"])
+    assert result.exit_code == 1
+    assert "FAIL (1 findings)" in result.output
+    assert (
+        "parity-1 cocycles at (0,3) are not a basis of H1: 1 of 2 independent modulo Ider,"
+        " h1 2, closed form 2" in result.output
+    )
+
+
+def test_cocycle_of_the_wrong_parity_is_a_lemma_suite_finding(monkeypatch):
+    # K(2, 4) at p=5 (a+b = -4, residue(b) = p-1) carries one even cocycle; call it odd
+    real = cli.outer_cocycles
+
+    def planted(p, a, b):
+        cocycles = real(p, a, b)
+        if (a, b) == (2, 4):
+            return [cohomology.Cochain(p, 1 - c.parity, c.values) for c in cocycles]
+        return cocycles
+
+    monkeypatch.setattr(cli, "outer_cocycles", planted)
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "lemmas"])
+    assert result.exit_code == 1
+    assert "FAIL (1 findings)" in result.output
+    assert "cocycle 0 at (2,4) is not of parity 1" in result.output
+
+
+def test_regime_of_the_wrong_parity_is_a_lemma_suite_finding(monkeypatch):
+    # the even regime a+b = -4 tabulated as odd: the cocycle and the solver both disagree
+    *rest, parity = cohomology._REGIMES[2]
+    monkeypatch.setattr(cohomology, "_REGIMES", cohomology._REGIMES[:2] + ((*rest, 1 - parity),))
+    result = CliRunner().invoke(main, ["check", "--p", "5", "--suite", "lemmas"])
+    assert result.exit_code == 1
+    assert "FAIL (2 findings)" in result.output
+    assert (
+        "parity-0 cocycles at (2,4) are not a basis of H1: 1 of 1 independent modulo Ider,"
+        " h1 1, closed form 0" in result.output
+    )
+
+
 def test_wrong_case_table_entry_fails_the_weights_suite(monkeypatch):
     even, odd = modules._CASE_TABLE[(1, 1)]
     wrong_even = (even[0] + 1,) + even[1:]

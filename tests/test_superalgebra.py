@@ -240,6 +240,9 @@ class TestJson:
                 ],
                 "structure must be",
             ),
+            ("labels", "abcdefgh", "labels must be a list of distinct strings"),
+            ("labels", list(range(8)), "labels must be a list of distinct strings"),
+            ("labels", ["x"] * 8, "labels must be a list of distinct strings"),
         ],
         ids=[
             "zgrade-short",
@@ -255,6 +258,9 @@ class TestJson:
             "parity-float",
             "zgrade-float",
             "structure-float",
+            "labels-string",
+            "labels-integers",
+            "labels-repeated",
         ],
     )
     def test_import_rejects_a_malformed_field(self, g5, field, value, message):
