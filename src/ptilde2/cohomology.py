@@ -15,31 +15,33 @@ weight wt(r) - root(i) - root(j), mod p.  So every row is parity-pure, and an
 entry that crosses weights or parities raises.  Der and WDer are two column
 sets over the system: every coordinate, and those of weight 0.  Cells are
 solved in batches: Der(g, M_1 + ... + M_k) is the direct sum of the
-Der(g, M_c), so Der and WDer of every cell of a batch are the summands of one
-system, whose blocks, keyed by (summand, weight, parity), are exactly those
-of its summands.  One batched elimination reduces the zero-padded stack of
-all blocks, each with its columns reversed; the canonical block kernels are
-read straight off it, merged by leading column, and split into one canonical
-basis per summand, whose rows then split into even and odd parts by the
-parity of their leading coordinates.  A single cell is the batch of one, and
-everything after the solve is per cell and per parity.  All subspaces live
-in the flattened coordinate space of cochain matrices, flat index (row r,
-column j) -> r * dim(g) + j, so sums and membership tests compose across
-solver routes.  Membership is the residual w - w[P] B of a canonical basis B
-with pivot columns P, formed from the nonzeros of B.  The rows of a space
-that are independent modulo Ider are the pivot columns of one RREF of their
-transposed residuals modulo Ider, and h1 reads three facts off them: the Der
-rows picked are the coset representatives of Der/Ider, there are
-dim Der - dim Ider of them exactly when Ider lies in Der, and the number of
-WDer rows picked is the weight route.
+Der(g, M_c), so the even and the odd coordinates of every cell of a batch
+are the summands of one system, whose blocks, keyed by (summand, weight,
+parity), are exactly those of its summands.  One batched elimination
+reduces the zero-padded stack of all blocks, each with its columns
+reversed; the canonical block kernels are read straight off it, merged by
+leading column, and split into one canonical basis per summand: Der of one
+cell and parity.  A single cell is the batch of one, and everything after
+the solve is per cell and per parity.  All subspaces live in the flattened
+coordinate space of cochain matrices, flat index (row r, column j) ->
+r * dim(g) + j, so sums and membership tests compose across solver routes.
+Membership is the residual w - w[P] B of a canonical basis B with pivot
+columns P, formed from the nonzeros of B.  The Der rows that are
+independent modulo Ider are the pivot columns of one RREF of their
+transposed residuals modulo Ider; they are the coset representatives of
+Der/Ider, and there are dim Der - dim Ider of them exactly when Ider lies
+in Der.
 
-h1 always runs two independent routes: dim Der - dim Ider, and
-dim WDer - dim(WDer meet Ider), computed dimension-only as the rank of WDer
-modulo Ider, dim(WDer + Ider) - dim Ider.  WDer has its own blocks in the
-batch's elimination, not a slice of Der's weight-0 block.  With both spaces
-checked to lie in Der, the routes agree exactly when WDer + Ider = Der, the
-paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0; any
-disagreement, like any other broken solver invariant, raises SolverFailure.
+h1 always runs two routes: dim Der - dim Ider, and the weight route
+dim WDer - dim(WDer meet Ider), the rank of WDer modulo Ider.  Every block,
+Der row, canonical Ider row and residual modulo Ider has one weight, so WDer
+is the Der rows that lead at weight 0, and the weight route counts the
+representatives that do.  The routes agree exactly when WDer + Ider = Der,
+the paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0.  A lost
+kernel vector of weight nu != 0 leaves Ider outside Der, but one of weight 0
+need not, so h1 reduces the weight-0 block again, with _rref_in_place, and
+checks its nullity against dim WDer.  Any disagreement, like any other
+broken solver invariant, raises SolverFailure.
 The paper's closed form is stated once, in the _REGIMES table, which
 predict_h1, predictor_clauses and outer_cocycles all read.  Its prediction
 is a third value; predictor disagreement is reported, not raised, since the
@@ -359,28 +361,19 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
     ]
 
 
-def _parity_parts(system: _System, space: Subspace) -> dict[int, CochainSpace]:
-    """The even and odd parts of a space solved over the system.
-
-    Every block of a solve lies in one parity, so each basis row lies in the
-    parity of its leading coordinate, and the rows of one parity are the
-    canonical basis of that part.
-    """
-    row_par = system.coord_par[(space.basis != 0).argmax(axis=1)]
-    shape = (system.m.dim, system.g.dim)
-    return {
-        s: CochainSpace(s, Subspace(space.p, space.ambient_dim, space.basis[row_par == s]), shape)
-        for s in (0, 1)
-    }
+def _parity_space(g: Superalgebra, m: GModule, parity: int, columns) -> CochainSpace:
+    """The parity part of the kernel of (g, M)'s system, free on that parity's columns(system)."""
+    if parity not in (0, 1):
+        raise ValueError(f"cochain parity must be 0 or 1, got {parity!r}")
+    system = _graded_system(g, m)
+    cols = columns(system)
+    space = _solve_constrained([system], [cols[system.coord_par[cols] == parity]])[0]
+    return CochainSpace(parity, space, (m.dim, g.dim))
 
 
 def derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
     """Canonical basis of the parity part of Der(g, M)."""
-    if parity not in (0, 1):
-        raise ValueError(f"cochain parity must be 0 or 1, got {parity!r}")
-    system = _graded_system(g, m)
-    space = _solve_constrained([system], [np.arange(system.coord_wt.size)])[0]
-    return _parity_parts(system, space)[parity]
+    return _parity_space(g, m, parity, lambda system: np.arange(system.coord_par.size))
 
 
 def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> CochainSpace:
@@ -388,13 +381,22 @@ def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> Cochain
 
     Implemented as the derivation system with every coordinate that leaves its
     target weight space pinned to zero, i.e. the free coordinates are those of
-    weight 0.
+    weight 0.  h1 reads WDer off Der; this is the solve it is tested against.
     """
-    if parity not in (0, 1):
-        raise ValueError(f"cochain parity must be 0 or 1, got {parity!r}")
-    system = _graded_system(g, m)
-    space = _solve_constrained([system], [_weight_zero_columns(system)])[0]
-    return _parity_parts(system, space)[parity]
+    return _parity_space(g, m, parity, _weight_zero_columns)
+
+
+def _weight_zero_nullity(system: _System) -> int:
+    """dim WDer of both parities, by _rref_in_place on the weight-0 block (<= 7 columns)."""
+    zero = _weight_zero_columns(system)
+    if zero.size == 0:
+        return 0
+    rows, cols, vals = system.entries
+    mine = system.coord_wt[cols] == 0
+    at_rows, row_at = np.unique(rows[mine], return_inverse=True)
+    block = np.zeros((at_rows.size, zero.size), dtype=np.int64)
+    np.add.at(block, (row_at, np.searchsorted(zero, cols[mine])), vals[mine])
+    return zero.size - len(_rref_in_place(block % system.g.p, system.g.p))
 
 
 def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
@@ -552,42 +554,45 @@ def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
     """h1 of several cells at once: per module, (report, wder, ider) or its SolverFailure.
 
     Each cell's system is assembled once, and one _solve_constrained call
-    takes Der (every coordinate) and then WDer (the weight-0 coordinates) of
-    every cell as its summands; each WDer block is its own slice of the
-    stack, so the weight route stays an independent reduction.  The rest is
-    per cell and per parity, in _h1_from_spaces; a cell whose checks fail
-    gives its SolverFailure and leaves the others be.
+    takes each cell's even and then odd coordinates as its summands, so it
+    returns Der per cell and parity.  The rest is per cell and per parity, in
+    _h1_from_spaces; a cell whose checks fail gives its SolverFailure and
+    leaves the others be.
     """
     if any(m.highest_weight is None for m in modules):
         raise ValueError("module must carry its highest weight")
     systems = [_graded_system(g, m) for m in modules]
-    der_cols = [np.arange(x.coord_wt.size) for x in systems]
-    spaces = _solve_constrained(systems * 2, der_cols + [_weight_zero_columns(x) for x in systems])
-    parts = [_parity_parts(x, space) for x, space in zip(systems * 2, spaces)]
+    halves = [np.flatnonzero(x.coord_par == s) for x in systems for s in (0, 1)]
+    spaces = iter(_solve_constrained([x for x in systems for _ in (0, 1)], halves))
     outcomes = []
-    for c, m in enumerate(modules):
+    for system in systems:
+        der = {s: CochainSpace(s, next(spaces), (system.m.dim, g.dim)) for s in (0, 1)}
         try:
-            outcomes.append(_h1_from_spaces(g, m, parts[c], parts[len(modules) + c]))
+            outcomes.append(_h1_from_spaces(system, der))
         except SolverFailure as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _h1_from_spaces(g: Superalgebra, m: GModule, der: dict, wder: dict):
-    """One cell's (report, wder, ider), given its Der and WDer per parity."""
+def _h1_from_spaces(system: _System, der: dict):
+    """One cell's (report, wder, ider), given its Der per parity, which WDer is read off."""
+    g, m = system.g, system.m
     ider = dict(enumerate(inner_space(g, m)))
-
-    picks = {}
+    wder, picks, weight_route = {}, {}, []
     for s in (0, 1):
-        picks[s] = _independent_modulo(ider[s], der[s].space.basis)
+        basis = der[s].space.basis
+        zero = system.coord_wt[(basis != 0).argmax(axis=1)] == 0
+        wder[s] = CochainSpace(s, Subspace(g.p, basis.shape[1], basis[zero]), der[s].shape)
+        picks[s] = _independent_modulo(ider[s], basis)
         if len(picks[s]) != der[s].dim - ider[s].dim:
             raise SolverFailure(f"inner derivations escaped the derivation space (parity {s})")
-        if not wder[s].space.is_subspace_of(der[s].space):
-            raise SolverFailure(f"weight-derivations escaped the derivation space (parity {s})")
+        weight_route.append(int(zero[picks[s]].sum()))
+    if _weight_zero_nullity(system) != wder[0].dim + wder[1].dim:
+        raise SolverFailure(f"weight-0 block: the two reductions disagree at lambda={m.highest_weight}")
 
     h1_even = der[0].dim - ider[0].dim
     h1_odd = der[1].dim - ider[1].dim
-    w_even, w_odd = (len(_independent_modulo(ider[s], wder[s].space.basis)) for s in (0, 1))
+    w_even, w_odd = weight_route
     if (w_even, w_odd) != (h1_even, h1_odd):
         raise RouteDisagreement(g.p, m.highest_weight, (h1_even, h1_odd), (w_even, w_odd))
 
@@ -619,8 +624,10 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
 
     Raises RouteDisagreement if the weight-derivation route yields different
     dimensions than Der/Ider (which would signal a solver bug, since every
-    derivation decomposes as a weight-derivation plus an inner one), and
-    SolverFailure if inner or weight-derivations escape the derivation space.
+    derivation decomposes as a weight-derivation plus an inner one),
+    SolverFailure if inner derivations escape the derivation space or the two
+    reductions of the weight-0 block disagree, and ValueError if the Cartan
+    action is not diagonal.
     """
     outcome = _h1_batch(g, [m])[0]
     if isinstance(outcome, SolverFailure):

@@ -21,7 +21,6 @@ from ptilde2.cohomology import (
     _coherent_columns,
     _graded_system,
     _h1_batch,
-    _parity_parts,
     _solve_constrained,
     _weight_zero_columns,
 )
@@ -33,16 +32,13 @@ ALGEBRAS = {p: build_p_tilde_2(p) for p in (3, 5, 7, 13)}
 
 
 def solved_spaces(g, modules):
-    """Der and WDer per parity, every module in one solve: {(route, parity): [Subspace]}."""
+    """Der and WDer per parity, one solve per (route, parity): {(route, parity): [Subspace]}."""
     systems = [_graded_system(g, m) for m in modules]
-    columns = [np.arange(x.coord_par.size) for x in systems]
-    columns += [_weight_zero_columns(x) for x in systems]
-    spaces = iter(_solve_constrained(systems * 2, columns))
     out = {}
-    for route in ("der", "wder"):
-        parts = [_parity_parts(x, next(spaces)) for x in systems]
+    for route, weight_zero in (("der", False), ("wder", True)):
         for s in (0, 1):
-            out[route, s] = [part[s].space for part in parts]
+            columns = route_columns(s, weight_zero)
+            out[route, s] = _solve_constrained(systems, [columns(x) for x in systems])
     return out
 
 

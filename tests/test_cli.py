@@ -173,9 +173,16 @@ class TestWorkerCount:
 class TestSolverFailureExit:
     @pytest.fixture
     def broken_containment(self, monkeypatch):
+        # an odd Ider that is every coordinate cannot lie in Der
+        from ptilde2 import cohomology
         from ptilde2.linalg import Subspace
 
-        monkeypatch.setattr(Subspace, "is_subspace_of", lambda self, other: False)
+        inner = cohomology.inner_space
+        monkeypatch.setattr(
+            cohomology,
+            "inner_space",
+            lambda g, m: (inner(g, m)[0], Subspace.full(g.p, m.dim * g.dim)),
+        )
 
     def test_h1_exits_one_with_one_line(self, runner, broken_containment):
         result = runner.invoke(main, ["h1", "--p", "3", "--a", "0", "--b", "1"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptilde2 import cli
+from ptilde2 import cli, cohomology
 from ptilde2.cohomology import (
     Cochain,
     RouteDisagreement,
@@ -345,13 +345,28 @@ class TestH1:
         ]
 
 
-class TestSolverFailures:
-    def test_containment_failure_raises_solver_failure(self, g5, monkeypatch):
-        from ptilde2.linalg import Subspace
+def drop_a_kernel_vector(monkeypatch):
+    """Make the batched solve lose the last kernel vector of every block that has two or more."""
+    kernels = cohomology._reversed_kernels
 
-        monkeypatch.setattr(Subspace, "is_subspace_of", lambda self, other: False)
-        with pytest.raises(SolverFailure, match="escaped the derivation space"):
-            h1(g5, build_kac_module(g5, 0, 3))
+    def dropped(a, pivot, width, p):
+        free_b, free_c, vectors = kernels(a, pivot, width, p)
+        starts = np.r_[True, free_b[1:] != free_b[:-1]]
+        ends = np.r_[free_b[1:] != free_b[:-1], True]
+        keep = starts | ~ends
+        return free_b[keep], free_c[keep], vectors[keep]
+
+    monkeypatch.setattr(cohomology, "_reversed_kernels", dropped)
+
+
+class TestSolverFailures:
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_a_lost_weight_zero_vector_raises_solver_failure(self, p, monkeypatch):
+        # only the weight-0 blocks have two kernel vectors; without the second
+        # reduction of that block, h1 of the top cell reads 1 and agrees with itself
+        drop_a_kernel_vector(monkeypatch)
+        with pytest.raises(SolverFailure, match="weight-0 block"):
+            analyze(p, 0, p - 2)
 
     def test_route_disagreement_is_a_solver_failure(self):
         assert issubclass(RouteDisagreement, SolverFailure)

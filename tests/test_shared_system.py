@@ -2,20 +2,20 @@
 
 Cells are solved in batches (a single cell is the batch of one).  Each
 cell's system covers both parities and is assembled once; one solve takes
-Der and then WDer of every cell of the batch as its summands, and reduces
-them in at most one elimination; suite_lemmas takes its spaces from that h1
-computation.  The counts are taken by wrapping the private helpers with
-monkeypatch.
+the even and then the odd coordinates of every cell of the batch as its
+summands, and reduces them in at most one elimination; WDer is read off
+that Der, and suite_lemmas takes its spaces from that h1 computation.  The
+counts are taken by wrapping the private helpers with monkeypatch.
 """
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dense_reference import _weight_matched_columns
 from ptilde2 import cohomology
 from ptilde2.cli import _grid_batches, main, suite_lemmas
-from ptilde2.cohomology import h1, weight_derivation_space
+from ptilde2.cohomology import derivation_space, h1, weight_derivation_space
+from ptilde2.linalg import Subspace
 from ptilde2.modules import GModule, build_kac_module
 from ptilde2.superalgebra import build_p_tilde_2
 
@@ -51,21 +51,26 @@ def test_weight_derivations_need_a_diagonal_cartan(g5):
         labels=km.labels,
         parity=km.parity,
         actions=[inverse @ a @ change for a in km.actions],
+        highest_weight=km.highest_weight,
     )
     mixed.validate()
     for parity in (0, 1):
         with pytest.raises(ValueError, match="diagonal"):
             weight_derivation_space(g5, mixed, parity)
+    # h1 reads WDer off Der's weight-0 rows, which would then be all of Der
+    with pytest.raises(ValueError, match="diagonal"):
+        h1(g5, mixed)
 
 
 def assert_one_solve(g, modules, solves):
-    """One solve whose summands are Der of every cell of the batch, then their WDer."""
+    """One solve whose summands are, cell after cell, Der's even and then odd coordinates."""
     assert len(solves) == 1
     systems, cols = solves[0]
-    assert [system.m for system in systems] == modules * 2
-    der = [list(range(m.dim * g.dim)) for m in modules]
-    wder = [_weight_matched_columns(g, m).tolist() for m in modules]
-    assert [c.tolist() for c in cols] == der + wder
+    assert [system.m for system in systems] == [m for m in modules for _ in (0, 1)]
+    parities = [cohomology._coordinate_parities(g, m) for m in modules]
+    assert [c.tolist() for c in cols] == [
+        np.flatnonzero(par == s).tolist() for par in parities for s in (0, 1)
+    ]
 
 
 def test_h1_builds_one_system_per_cell(monkeypatch, g5):
@@ -80,7 +85,7 @@ def test_h1_builds_one_system_per_cell(monkeypatch, g5):
         h1(g5, km)
         assert [m for _, m in entries] == [km]
         assert len(codes) == 1
-        # Der and WDer are two summands of one solve over the one system
+        # Der's two parities are two summands of one solve over the one system
         assert_one_solve(g5, [km], solves)
         # one elimination, unless no coordinate is free
         assert len(eliminations) == int(any(c.size for c in solves[0][1]))
@@ -96,7 +101,7 @@ def test_a_batch_assembles_per_cell_and_solves_once(monkeypatch, g5):
     assert [report.weight for report, _, _ in outcomes] == [m.highest_weight for m in modules]
     assert [m for _, m in entries] == modules
     assert [m for _, m in codes] == modules
-    # one stacked elimination for both routes and both parities
+    # one stacked elimination for both parities, WDer read off Der
     assert_one_solve(g5, modules, solves)
     assert len(eliminations) == 1
 
@@ -116,10 +121,37 @@ def test_lemma_suite_reuses_the_h1_spaces(monkeypatch):
 
 
 def test_route_disagreement_fails_the_lemma_suite(monkeypatch):
-    # WDer with no free columns is 0, so the weight route reads 0 at every cell
-    monkeypatch.setattr(
-        cohomology, "_weight_zero_columns", lambda system: np.zeros(0, dtype=np.int64)
-    )
+    # with Ider = 0 every Der row is a coset representative, and the weight
+    # route does not count those of nonzero weight
+    def no_inner(g, m):
+        zero = Subspace.zero(g.p, m.dim * g.dim)
+        return zero, zero
+
+    monkeypatch.setattr(cohomology, "inner_space", no_inner)
     result = CliRunner().invoke(main, ["check", "--p", "3", "--suite", "lemmas"])
     assert result.exit_code == 1
     assert "solver routes disagree" in result.output
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_the_graded_facts_h1_reads_wder_off(p):
+    # h1 takes WDer to be Der's rows that lead at weight 0, and the weight route
+    # to be the representatives that do; every cell must bear that out
+    g = build_p_tilde_2(p)
+    for batch in _grid_batches(p):
+        modules = [build_kac_module(g, a, b) for a, b in batch]
+        for m, (report, wder, ider) in zip(modules, cohomology._h1_batch(g, modules)):
+            cell = m.highest_weight
+            coord_wt = cohomology._graded_system(g, m).coord_wt
+
+            def weights(rows):
+                return np.bincount(coord_wt[(rows != 0).argmax(axis=1)], minlength=p * p)
+
+            for s in (0, 1):
+                assert wder[s].space == weight_derivation_space(g, m, s).space, (cell, s)
+                # per weight nu != 0: as many Der rows as Ider rows, and at most one
+                der = weights(derivation_space(g, m, s).space.basis)[1:]
+                assert der.tolist() == weights(ider[s].basis)[1:].tolist(), (cell, s)
+                assert der.max() <= 1, (cell, s)
+            leads = [np.flatnonzero(c.flat())[0] for c in report.representatives]
+            assert not coord_wt[leads].any(), cell
