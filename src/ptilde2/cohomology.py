@@ -26,22 +26,20 @@ the solve is per cell and per parity.  All subspaces live in the flattened
 coordinate space of cochain matrices, flat index (row r, column j) ->
 r * dim(g) + j, so sums and membership tests compose across solver routes.
 Membership is the residual w - w[P] B of a canonical basis B with pivot
-columns P, formed from the nonzeros of B.  The Der rows that are
-independent modulo Ider are the pivot columns of one RREF of their
-transposed residuals modulo Ider; they are the coset representatives of
-Der/Ider, and there are dim Der - dim Ider of them exactly when Ider lies
-in Der.
+columns P, formed from the nonzeros of B.  The rows independent modulo Ider
+are the pivot columns of one RREF of their transposed residuals modulo Ider.
 
 h1 always runs two routes: dim Der - dim Ider, and the weight route
 dim WDer - dim(WDer meet Ider), the rank of WDer modulo Ider.  Every block,
-Der row, canonical Ider row and residual modulo Ider has one weight, so WDer
-is the Der rows that lead at weight 0, and the weight route counts the
-representatives that do.  The routes agree exactly when WDer + Ider = Der,
-the paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0.  A lost
-kernel vector of weight nu != 0 leaves Ider outside Der, but one of weight 0
-need not, so h1 reduces the weight-0 block again, with _rref_in_place, and
-checks its nullity against dim WDer.  Any disagreement, like any other
-broken solver invariant, raises SolverFailure.
+Der row and canonical Ider row has one weight, so WDer is the Der rows that
+lead at weight 0, and its rows independent modulo Ider are the coset
+representatives.  The routes agree exactly when WDer + Ider = Der, the
+paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0: two canonical
+bases, so h1 compares the rows that lead off weight 0 instead of reducing
+them.  A weight route above the first, or equal with unequal rows, leaves
+Ider outside Der; one below it breaks the lemma.  At weight 0, h1 checks
+that WDer's rows solve the block and number its nullity by _rref_in_place.
+Any disagreement, like any other broken solver invariant, raises SolverFailure.
 The paper's closed form is stated once, in the _REGIMES table, which
 predict_h1, predictor_clauses and outer_cocycles all read.  Its prediction
 is a third value; predictor disagreement is reported, not raised, since the
@@ -386,17 +384,22 @@ def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> Cochain
     return _parity_space(g, m, parity, _weight_zero_columns)
 
 
-def _weight_zero_nullity(system: _System) -> int:
-    """dim WDer of both parities, by _rref_in_place on the weight-0 block (<= 7 columns)."""
+def _is_weight_zero_kernel(system: _System, wder: np.ndarray) -> bool:
+    """Whether WDer's rows, both parities, solve the weight-0 block and number its nullity."""
     zero = _weight_zero_columns(system)
     if zero.size == 0:
-        return 0
+        return len(wder) == 0
+    p = system.g.p
     rows, cols, vals = system.entries
     mine = system.coord_wt[cols] == 0
     at_rows, row_at = np.unique(rows[mine], return_inverse=True)
     block = np.zeros((at_rows.size, zero.size), dtype=np.int64)
     np.add.at(block, (row_at, np.searchsorted(zero, cols[mine])), vals[mine])
-    return zero.size - len(_rref_in_place(block % system.g.p, system.g.p))
+    block %= p
+    # exact in int64: fewer than 2^31 terms per entry, each below p^2 < 2^32
+    if (block @ wder[:, zero].T % p).any():
+        return False
+    return zero.size - len(_rref_in_place(block, p)) == len(wder)
 
 
 def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
@@ -556,8 +559,8 @@ def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
     Each cell's system is assembled once, and one _solve_constrained call
     takes each cell's even and then odd coordinates as its summands, so it
     returns Der per cell and parity.  The rest is per cell and per parity, in
-    _h1_from_spaces; a cell whose checks fail gives its SolverFailure and
-    leaves the others be.
+    _h1_from_spaces, which reduces only WDer's rows modulo Ider; a cell whose
+    checks fail gives its SolverFailure and leaves the others be.
     """
     if any(m.highest_weight is None for m in modules):
         raise ValueError("module must carry its highest weight")
@@ -575,24 +578,26 @@ def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
 
 
 def _h1_from_spaces(system: _System, der: dict):
-    """One cell's (report, wder, ider), given its Der per parity, which WDer is read off."""
+    """One cell's (report, wder, ider) from its Der per parity: only WDer goes modulo Ider."""
     g, m = system.g, system.m
     ider = dict(enumerate(inner_space(g, m)))
-    wder, picks, weight_route = {}, {}, []
+    wder, picks = {}, {}
     for s in (0, 1):
-        basis = der[s].space.basis
-        zero = system.coord_wt[(basis != 0).argmax(axis=1)] == 0
+        basis, inner = der[s].space.basis, ider[s].basis
+        zero, inner_zero = (system.coord_wt[(b != 0).argmax(axis=1)] == 0 for b in (basis, inner))
         wder[s] = CochainSpace(s, Subspace(g.p, basis.shape[1], basis[zero]), der[s].shape)
-        picks[s] = _independent_modulo(ider[s], basis)
-        if len(picks[s]) != der[s].dim - ider[s].dim:
+        picks[s] = np.flatnonzero(zero)[_independent_modulo(ider[s], basis[zero])]
+        route = der[s].dim - ider[s].dim
+        if len(picks[s]) > route or (
+            len(picks[s]) == route and not np.array_equal(basis[~zero], inner[~inner_zero])
+        ):
             raise SolverFailure(f"inner derivations escaped the derivation space (parity {s})")
-        weight_route.append(int(zero[picks[s]].sum()))
-    if _weight_zero_nullity(system) != wder[0].dim + wder[1].dim:
+    if not _is_weight_zero_kernel(system, np.concatenate([wder[s].space.basis for s in (0, 1)])):
         raise SolverFailure(f"weight-0 block: the two reductions disagree at lambda={m.highest_weight}")
 
     h1_even = der[0].dim - ider[0].dim
     h1_odd = der[1].dim - ider[1].dim
-    w_even, w_odd = weight_route
+    w_even, w_odd = len(picks[0]), len(picks[1])
     if (w_even, w_odd) != (h1_even, h1_odd):
         raise RouteDisagreement(g.p, m.highest_weight, (h1_even, h1_odd), (w_even, w_odd))
 
@@ -625,9 +630,9 @@ def h1(g: Superalgebra, m: GModule) -> CohomologyReport:
     Raises RouteDisagreement if the weight-derivation route yields different
     dimensions than Der/Ider (which would signal a solver bug, since every
     derivation decomposes as a weight-derivation plus an inner one),
-    SolverFailure if inner derivations escape the derivation space or the two
-    reductions of the weight-0 block disagree, and ValueError if the Cartan
-    action is not diagonal.
+    SolverFailure if inner derivations escape the derivation space or WDer's
+    rows are not a kernel basis of the weight-0 block, and ValueError if the
+    Cartan action is not diagonal.
     """
     outcome = _h1_batch(g, [m])[0]
     if isinstance(outcome, SolverFailure):

@@ -20,8 +20,9 @@ only the rows with a nonzero in the pivot column.  Membership is a
 residual: w lies in the span of a canonical basis B with pivot columns P
 exactly when w - w[P] B = 0, and w[P] B is summed per column from one term
 w[P_k] B[k, c] per nonzero of B, so a sparse basis costs its nonzeros, not
-its full width.  Stored grids are read-only copies, reduced mod p only when
-an entry lies outside [0, p).
+its full width; the terms of all the rows are formed at once, so callers
+pass few rows (h1 passes WDer's).  Stored grids are read-only copies,
+reduced mod p only when an entry lies outside [0, p).
 
 The modulus is bounded by MAX_MODULUS = 2^16, so a product of two residues is
 below 2^32 and any sum of fewer than 2^31 such products stays below 2^63:
@@ -39,9 +40,6 @@ import numpy as np
 __all__ = ["check_odd_prime", "modular_inverse", "FpMatrix", "Subspace"]
 
 MAX_MODULUS = 1 << 16
-
-# bound on the rows x nonzeros term array of one Subspace._residual chunk
-_TERMS_PER_CHUNK = 1 << 22
 
 
 def _is_prime(n: int) -> bool:
@@ -326,8 +324,8 @@ class Subspace:
         Row i of the result is zero exactly when rows[i] lies in the span.  The
         product is formed from the nonzeros of the basis alone: column c sums
         the terms rows[:, P_k] * basis[k, c], one per nonzero, and only the
-        columns that hold a nonzero change.  Rows go in chunks, so the term
-        array stays bounded.
+        columns that hold a nonzero change.  The term array is rows x nonzeros,
+        so callers pass few rows.
         """
         out = rows.copy()
         if not (self.dim and out.size):
@@ -340,12 +338,8 @@ class Subspace:
         starts = np.flatnonzero(np.diff(c, prepend=-1))
         targets = c[starts]
         source = pivots[k]
-        coeff = self.basis[k, c]
-        step = max(1, _TERMS_PER_CHUNK // c.size)
-        for lo in range(0, out.shape[0], step):
-            chunk = out[lo : lo + step]
-            sums = np.add.reduceat(chunk[:, source] * coeff, starts, axis=1)
-            chunk[:, targets] = (chunk[:, targets] - sums) % self.p
+        sums = np.add.reduceat(out[:, source] * self.basis[k, c], starts, axis=1)
+        out[:, targets] = (out[:, targets] - sums) % self.p
         return out
 
     def contains(self, v) -> bool:

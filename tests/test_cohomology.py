@@ -359,12 +359,38 @@ def drop_a_kernel_vector(monkeypatch):
     monkeypatch.setattr(cohomology, "_reversed_kernels", dropped)
 
 
+def bend_a_kernel_vector(monkeypatch):
+    """Add 1 to the last non-leading nonzero of the last vector of every block with two or more."""
+    kernels = cohomology._reversed_kernels
+
+    def bent(a, pivot, width, p):
+        free_b, free_c, vectors = kernels(a, pivot, width, p)
+        starts = np.r_[True, free_b[1:] != free_b[:-1]]
+        ends = np.r_[free_b[1:] != free_b[:-1], True]
+        for k in np.flatnonzero(ends & ~starts):
+            # in reversed coordinates the leading 1 is the last nonzero
+            rest = np.flatnonzero(vectors[k])[:-1]
+            if rest.size:
+                vectors[k, rest[-1]] = (vectors[k, rest[-1]] + 1) % p
+        return free_b, free_c, vectors
+
+    monkeypatch.setattr(cohomology, "_reversed_kernels", bent)
+
+
 class TestSolverFailures:
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_a_lost_weight_zero_vector_raises_solver_failure(self, p, monkeypatch):
         # only the weight-0 blocks have two kernel vectors; without the second
         # reduction of that block, h1 of the top cell reads 1 and agrees with itself
         drop_a_kernel_vector(monkeypatch)
+        with pytest.raises(SolverFailure, match="weight-0 block"):
+            analyze(p, 0, p - 2)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_a_bent_weight_zero_vector_raises_solver_failure(self, p, monkeypatch):
+        # the bent vector keeps the count and the canonical form, so h1 of the top
+        # cell still reads 2; only the product with the weight-0 block sees it
+        bend_a_kernel_vector(monkeypatch)
         with pytest.raises(SolverFailure, match="weight-0 block"):
             analyze(p, 0, p - 2)
 

@@ -28,7 +28,7 @@ from ptilde2.cohomology import (
     inner_derivation,
     inner_space,
 )
-from ptilde2 import linalg, modules
+from ptilde2 import modules
 from ptilde2.linalg import (
     FpMatrix,
     Subspace,
@@ -413,16 +413,6 @@ def test_sparse_residual_matches_dense_product(p):
     top = np.full((4, 40), p - 1, dtype=np.int64)
     assert np.array_equal(full._residual(top), residual_reference(full, top))
     assert np.array_equal(Subspace.zero(p, 5)._residual(top[:, :5]), top[:, :5])
-
-
-def test_sparse_residual_in_chunks_matches_dense_product(monkeypatch):
-    rng = np.random.default_rng(3)
-    for terms in (1, 7, 50):
-        monkeypatch.setattr(linalg, "_TERMS_PER_CHUNK", terms)
-        for _ in range(20):
-            space = Subspace.from_spanning(11, 9, rng.integers(0, 11, size=(4, 9)))
-            rows = rng.integers(0, 11, size=(int(rng.integers(0, 8)), 9))
-            assert np.array_equal(space._residual(rows), residual_reference(space, rows))
 
 
 def rref_reference(a, p):

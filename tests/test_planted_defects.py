@@ -143,6 +143,32 @@ def test_one_extra_inner_vector_escapes_the_derivation_space(monkeypatch, g5, we
         h1(g5, km)
 
 
+@pytest.mark.parametrize("p, weight", [(5, (0, 3)), (5, (1, 2)), (7, (2, 2)), (11, (0, 9))])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_a_bent_inner_row_off_weight_0_escapes_the_derivation_space(monkeypatch, p, weight, parity):
+    # as many Ider rows as before, but one that leads off weight 0 gains a nonzero
+    # at a column no Ider row has; only the row comparison with Der sees it
+    g = build_p_tilde_2(p)
+    km = build_kac_module(g, *weight)
+    coord_wt = cohomology._graded_system(g, km).coord_wt
+    inner = cohomology.inner_space
+
+    def planted(g, m):
+        spans = list(inner(g, m))
+        rows = spans[parity].basis.copy()
+        leads = (rows != 0).argmax(axis=1)
+        k = np.flatnonzero(coord_wt[leads] != 0)[0]
+        c = np.flatnonzero(~rows.any(axis=0) & (np.arange(rows.shape[1]) > leads[k]))[0]
+        rows[k, c] = 1
+        spans[parity] = Subspace(g.p, rows.shape[1], rows)
+        return tuple(spans)
+
+    monkeypatch.setattr(cohomology, "inner_space", planted)
+    message = f"inner derivations escaped the derivation space \\(parity {parity}\\)"
+    with pytest.raises(cohomology.SolverFailure, match=message):
+        h1(g, km)
+
+
 @pytest.mark.parametrize("label", ["g*v1", "1*v1"])
 def test_inner_cocycle_is_a_lemma_suite_finding(monkeypatch, g5, label):
     # the outerness check of each cocycle reads the Ider of its own parity

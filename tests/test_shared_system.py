@@ -147,11 +147,32 @@ def test_the_graded_facts_h1_reads_wder_off(p):
             def weights(rows):
                 return np.bincount(coord_wt[(rows != 0).argmax(axis=1)], minlength=p * p)
 
+            picked = []
             for s in (0, 1):
                 assert wder[s].space == weight_derivation_space(g, m, s).space, (cell, s)
                 # per weight nu != 0: as many Der rows as Ider rows, and at most one
-                der = weights(derivation_space(g, m, s).space.basis)[1:]
+                basis = derivation_space(g, m, s).space.basis
+                der = weights(basis)[1:]
                 assert der.tolist() == weights(ider[s].basis)[1:].tolist(), (cell, s)
                 assert der.max() <= 1, (cell, s)
+                # the representatives are the picks of all of Der modulo Ider
+                picks = cohomology._independent_modulo(ider[s], basis)
+                picked += [(s, basis[k].tolist()) for k in picks]
+            assert [(c.parity, c.flat().tolist()) for c in report.representatives] == picked, cell
             leads = [np.flatnonzero(c.flat())[0] for c in report.representatives]
             assert not coord_wt[leads].any(), cell
+
+
+def test_h1_reduces_only_rows_that_lead_at_weight_0(monkeypatch):
+    # off weight 0 Der is compared with Ider row for row, so only WDer is reduced
+    g = build_p_tilde_2(7)
+    reduced = record_calls(monkeypatch, "_independent_modulo")
+    for a in range(7):
+        for b in range(7):
+            m = build_kac_module(g, a, b)
+            coord_wt = cohomology._graded_system(g, m).coord_wt
+            reduced.clear()
+            h1(g, m)
+            assert len(reduced) == 2
+            for _, rows in reduced:
+                assert not coord_wt[(rows != 0).argmax(axis=1)].any(), (a, b)
