@@ -25,14 +25,15 @@ cell and parity.  A single cell is the batch of one, and everything after
 the solve is per cell and per parity.  All subspaces live in the flattened
 coordinate space of cochain matrices, flat index (row r, column j) ->
 r * dim(g) + j, so sums and membership tests compose across solver routes.
-Membership is the residual w - w[P] B of a canonical basis B with pivot
-columns P, formed from the nonzeros of B.  The rows independent modulo Ider
-are the pivot columns of one RREF of their transposed residuals modulo Ider.
+Membership is the residual w - w[P] B over the rows of B that w uses, B a
+canonical basis with pivot columns P, found once per Subspace.  The rows
+independent modulo Ider are the pivot columns of one RREF of their
+transposed residuals modulo Ider.
 
 h1 always runs two routes: dim Der - dim Ider, and the weight route
 dim WDer - dim(WDer meet Ider), the rank of WDer modulo Ider.  Every block,
-Der row and canonical Ider row has one weight, so WDer is the Der rows that
-lead at weight 0, and its rows independent modulo Ider are the coset
+Der row and canonical Ider row has one weight, so WDer is the Der rows whose
+pivot has weight 0, and its rows independent modulo Ider are the coset
 representatives.  The routes agree exactly when WDer + Ider = Der, the
 paper's lemma, i.e. Der_nu = Ider_nu for every weight nu != 0: two canonical
 bases, so h1 compares the rows that lead off weight 0 instead of reducing
@@ -384,22 +385,25 @@ def weight_derivation_space(g: Superalgebra, m: GModule, parity: int) -> Cochain
     return _parity_space(g, m, parity, _weight_zero_columns)
 
 
-def _is_weight_zero_kernel(system: _System, wder: np.ndarray) -> bool:
-    """Whether WDer's rows, both parities, solve the weight-0 block and number its nullity."""
+def _check_weight_zero_kernel(system: _System, wder: np.ndarray) -> None:
+    """Raise SolverFailure unless WDer's rows solve the weight-0 block and number its nullity."""
+    at = f"at lambda={system.m.highest_weight}"
     zero = _weight_zero_columns(system)
-    if zero.size == 0:
-        return len(wder) == 0
-    p = system.g.p
-    rows, cols, vals = system.entries
-    mine = system.coord_wt[cols] == 0
-    at_rows, row_at = np.unique(rows[mine], return_inverse=True)
-    block = np.zeros((at_rows.size, zero.size), dtype=np.int64)
-    np.add.at(block, (row_at, np.searchsorted(zero, cols[mine])), vals[mine])
-    block %= p
-    # exact in int64: fewer than 2^31 terms per entry, each below p^2 < 2^32
-    if (block @ wder[:, zero].T % p).any():
-        return False
-    return zero.size - len(_rref_in_place(block, p)) == len(wder)
+    nullity = 0
+    if zero.size:
+        p = system.g.p
+        rows, cols, vals = system.entries
+        mine = system.coord_wt[cols] == 0
+        at_rows, row_at = np.unique(rows[mine], return_inverse=True)
+        block = np.zeros((at_rows.size, zero.size), dtype=np.int64)
+        np.add.at(block, (row_at, np.searchsorted(zero, cols[mine])), vals[mine])
+        block %= p
+        # exact in int64: fewer than 2^31 terms per entry, each below p^2 < 2^32
+        if (block @ wder[:, zero].T % p).any():
+            raise SolverFailure(f"weight-0 block: WDer's rows do not solve it {at}")
+        nullity = zero.size - len(_rref_in_place(block, p))
+    if nullity != len(wder):
+        raise SolverFailure(f"weight-0 block: the two reductions disagree {at}")
 
 
 def inner_derivation(g: Superalgebra, m: GModule, v) -> Cochain:
@@ -584,7 +588,7 @@ def _h1_from_spaces(system: _System, der: dict):
     wder, picks = {}, {}
     for s in (0, 1):
         basis, inner = der[s].space.basis, ider[s].basis
-        zero, inner_zero = (system.coord_wt[(b != 0).argmax(axis=1)] == 0 for b in (basis, inner))
+        zero, inner_zero = (system.coord_wt[x.pivots] == 0 for x in (der[s].space, ider[s]))
         wder[s] = CochainSpace(s, Subspace(g.p, basis.shape[1], basis[zero]), der[s].shape)
         picks[s] = np.flatnonzero(zero)[_independent_modulo(ider[s], basis[zero])]
         route = der[s].dim - ider[s].dim
@@ -592,8 +596,7 @@ def _h1_from_spaces(system: _System, der: dict):
             len(picks[s]) == route and not np.array_equal(basis[~zero], inner[~inner_zero])
         ):
             raise SolverFailure(f"inner derivations escaped the derivation space (parity {s})")
-    if not _is_weight_zero_kernel(system, np.concatenate([wder[s].space.basis for s in (0, 1)])):
-        raise SolverFailure(f"weight-0 block: the two reductions disagree at lambda={m.highest_weight}")
+    _check_weight_zero_kernel(system, np.concatenate([wder[s].space.basis for s in (0, 1)]))
 
     h1_even = der[0].dim - ider[0].dim
     h1_odd = der[1].dim - ider[1].dim

@@ -18,10 +18,10 @@ single-matrix RREF pays only for nonzeros too: it keeps the columns that
 hold one, finds each next pivot from the rows' leading columns, and updates
 only the rows with a nonzero in the pivot column.  Membership is a
 residual: w lies in the span of a canonical basis B with pivot columns P
-exactly when w - w[P] B = 0, and w[P] B is summed per column from one term
-w[P_k] B[k, c] per nonzero of B, so a sparse basis costs its nonzeros, not
-its full width; the terms of all the rows are formed at once, so callers
-pass few rows (h1 passes WDer's).  Stored grids are read-only copies,
+exactly when w - w[P] B = 0.  A Subspace finds P once, in its canonical
+check, and the product takes only the basis rows whose coefficient w[P_k]
+is nonzero, so it pays for the basis rows the input uses, and callers pass
+rows that use few (h1 passes WDer's).  Stored grids are read-only copies,
 reduced mod p only when an entry lies outside [0, p).
 
 The modulus is bounded by MAX_MODULUS = 2^16, so a product of two residues is
@@ -261,10 +261,10 @@ class Subspace:
     Two equal subspaces always carry identical bases, so == is subspace
     equality.  from_spanning canonicalizes any spanning set; the raw
     constructor accepts only a basis already in canonical form and raises
-    ValueError otherwise.
+    ValueError otherwise.  pivots is the read-only array of leading columns.
     """
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "basis", "pivots")
 
     def __init__(self, p: int, ambient_dim: int, basis):
         self.p = check_odd_prime(p)
@@ -274,11 +274,13 @@ class Subspace:
         self.basis = _frozen_grid(self.p, rows.reshape(shape))
         # canonical: leading entries 1 in strictly increasing columns, and each
         # pivot column a unit column (a zero row fails at its column-0 "pivot")
+        pivots = (self.basis != 0).argmax(axis=1) if self.dim else np.zeros(0, dtype=np.int64)
         if self.dim:
-            pivots = (self.basis != 0).argmax(axis=1)
             unit = self.basis[:, pivots] == np.eye(self.dim, dtype=np.int64)
             if not (unit.all() and (pivots[1:] > pivots[:-1]).all()):
                 raise ValueError("basis is not in canonical reduced row-echelon form")
+        pivots.setflags(write=False)
+        self.pivots = pivots
 
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, rows) -> "Subspace":
@@ -322,25 +324,14 @@ class Subspace:
         """rows - rows[:, P] @ basis mod p, P the pivot columns (rows reduced mod p).
 
         Row i of the result is zero exactly when rows[i] lies in the span.  The
-        product is formed from the nonzeros of the basis alone: column c sums
-        the terms rows[:, P_k] * basis[k, c], one per nonzero, and only the
-        columns that hold a nonzero change.  The term array is rows x nonzeros,
-        so callers pass few rows.
+        product takes only the basis rows whose coefficient rows[:, P_k] is
+        nonzero in some row, so it costs rows x used rows x n.
         """
-        out = rows.copy()
-        if not (self.dim and out.size):
-            return out
-        k, c = np.nonzero(self.basis)
-        pivots = c[np.diff(k, prepend=-1) != 0]
-        # regroup the nonzeros by column, then by basis row
-        by_col = np.argsort(c, kind="stable")
-        k, c = k[by_col], c[by_col]
-        starts = np.flatnonzero(np.diff(c, prepend=-1))
-        targets = c[starts]
-        source = pivots[k]
-        sums = np.add.reduceat(out[:, source] * self.basis[k, c], starts, axis=1)
-        out[:, targets] = (out[:, targets] - sums) % self.p
-        return out
+        if not (self.dim and rows.size):
+            return rows.copy()
+        coef = rows[:, self.pivots]
+        used = coef.any(axis=0)
+        return (rows - coef[:, used] @ self.basis[used]) % self.p
 
     def contains(self, v) -> bool:
         """Membership decided by the residual against the echelon basis."""

@@ -15,7 +15,9 @@ with the bracket expanded through the structure constants.  A weight module
 (distinct basis weights, each entry shifting weight by its root) has one
 nonzero per action column, so its law is one scalar per (pair, column): a
 table of one matrix product and two gathers.  Any other module is checked by
-a sorted join of its entries.
+a sorted join of its entries.  The Kac module K(a, b) is written from one
+list of twelve closed-form bands, and the simple module L(a, b) from its
+first four, the g_0 bands on the even half.
 """
 
 from __future__ import annotations
@@ -352,6 +354,29 @@ def _action_array(labels: tuple[str, ...], n: int, entries) -> np.ndarray:
     return acts
 
 
+def _kac_bands(p: int, a: int, b: int) -> tuple[int, list[tuple]]:
+    """Top index t and the 12 (label, rows, cols, values) bands of K(a, b), for residues a, b;
+    the first four, the g_0 bands on the even half 1*v_k, are also those of L(a, b)."""
+    t = residue(b - a, p)
+    ks = np.arange(t + 1, dtype=np.int64)
+    ev, od = _kac_index(t, 0, ks), _kac_index(t, 1, ks)  # 1*v_k and g*v_k
+    up = ks[1:] * (b - a - ks[1:] + 1) % p  # alpha 1*v_k = up[k-1] 1*v_{k-1}
+    return t, [
+        ("h1", ev, ev, (a + ks) % p),
+        ("h2", ev, ev, (b - ks) % p),
+        ("alpha", ev[:-1], ev[1:], up),
+        ("beta", ev[1:], ev[:-1], 1),
+        ("h1", od, od, (a + ks + 1) % p),
+        ("h2", od, od, (b - ks + 1) % p),
+        ("gamma", od, ev, 1),
+        ("e14+e23", ev, od, (b - a - 2 * ks) % p),
+        ("alpha", od[:-1], od[1:], up),
+        ("e13", ev[:-1], od[1:], up),
+        ("beta", od[1:], od[:-1], 1),
+        ("e24", ev[1:], od[:-1], p - 1),
+    ]
+
+
 def build_simple_module(g0: Superalgebra, a, b) -> GModule:
     """Highest-weight module of the grade-zero subalgebra with weight (a, b).
 
@@ -363,21 +388,13 @@ def build_simple_module(g0: Superalgebra, a, b) -> GModule:
         raise ValueError("expected the grade-zero subalgebra (h1, h2, alpha, beta)")
     p = g0.p
     a, b = residue(a, p), residue(b, p)
-    t = residue(b - a, p)
+    t, bands = _kac_bands(p, a, b)
     n = t + 1
-    ks = np.arange(n, dtype=np.int64)
-    up = ks[1:] * (b - a - ks[1:] + 1) % p  # alpha v_k = up[k-1] v_{k-1}
-    actions = _action_array(g0.labels, n, [
-        ("h1", ks, ks, (a + ks) % p),
-        ("h2", ks, ks, (b - ks) % p),
-        ("alpha", ks[:-1], ks[1:], up),
-        ("beta", ks[1:], ks[:-1], 1),
-    ])
     m = GModule(
         algebra=g0,
         labels=_basis_labels("v", n),
         parity=(0,) * n,
-        actions=actions,
+        actions=_action_array(g0.labels, n, bands[:4]),  # v_k is 1*v_k, at index k
         highest_weight=(a, b),
     )
     m.validate()
@@ -396,29 +413,12 @@ def build_kac_module(g: Superalgebra, a, b) -> KacModule:
         raise ValueError("expected the full 8-dimensional supermatrix algebra")
     p = g.p
     a, b = residue(a, p), residue(b, p)
-    t = residue(b - a, p)
-    ks = np.arange(t + 1, dtype=np.int64)
-    ev, od = _kac_index(t, 0, ks), _kac_index(t, 1, ks)  # 1*v_k and g*v_k
-    up = ks[1:] * (b - a - ks[1:] + 1) % p  # alpha 1*v_k = up[k-1] 1*v_{k-1}
-    actions = _action_array(g.labels, 2 * (t + 1), [
-        ("h1", ev, ev, (a + ks) % p),
-        ("h1", od, od, (a + ks + 1) % p),
-        ("h2", ev, ev, (b - ks) % p),
-        ("h2", od, od, (b - ks + 1) % p),
-        ("gamma", od, ev, 1),
-        ("e14+e23", ev, od, (b - a - 2 * ks) % p),
-        ("alpha", ev[:-1], ev[1:], up),
-        ("alpha", od[:-1], od[1:], up),
-        ("e13", ev[:-1], od[1:], up),
-        ("beta", ev[1:], ev[:-1], 1),
-        ("beta", od[1:], od[:-1], 1),
-        ("e24", ev[1:], od[:-1], p - 1),
-    ])
+    t, bands = _kac_bands(p, a, b)
     km = KacModule(
         algebra=g,
         labels=_basis_labels("1*v", t + 1) + _basis_labels("g*v", t + 1),
         parity=(0,) * (t + 1) + (1,) * (t + 1),
-        actions=actions,
+        actions=_action_array(g.labels, 2 * (t + 1), bands),
         highest_weight=(a, b),
         top_index=t,
     )

@@ -383,7 +383,7 @@ class TestSolverFailures:
         # only the weight-0 blocks have two kernel vectors; without the second
         # reduction of that block, h1 of the top cell reads 1 and agrees with itself
         drop_a_kernel_vector(monkeypatch)
-        with pytest.raises(SolverFailure, match="weight-0 block"):
+        with pytest.raises(SolverFailure, match="weight-0 block: the two reductions disagree"):
             analyze(p, 0, p - 2)
 
     @pytest.mark.parametrize("p", [5, 7, 11])
@@ -391,7 +391,7 @@ class TestSolverFailures:
         # the bent vector keeps the count and the canonical form, so h1 of the top
         # cell still reads 2; only the product with the weight-0 block sees it
         bend_a_kernel_vector(monkeypatch)
-        with pytest.raises(SolverFailure, match="weight-0 block"):
+        with pytest.raises(SolverFailure, match="weight-0 block: WDer's rows do not solve it"):
             analyze(p, 0, p - 2)
 
     def test_route_disagreement_is_a_solver_failure(self):

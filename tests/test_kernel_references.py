@@ -226,12 +226,16 @@ def test_inner_span_and_coset_representatives_match_loops(p):
 def test_closed_form_builds_match_the_entry_loops(p):
     g = build_p_tilde_2(p)
     g0 = grade_zero_subalgebra(g)
+    even = [g.index(label) for label in g0.labels]
     for a in range(p):
         for b in range(p):
             km = build_kac_module(g, a, b)
             assert np.array_equal(km.actions, np.stack(kac_actions(g, a, b))), (a, b)
             simple = build_simple_module(g0, a, b)
             assert np.array_equal(simple.actions, np.stack(simple_actions(g0, a, b))), (a, b)
+            # L(a, b) is the g_0 part of K(a, b) on the even half 1*v_k, k <= t
+            n = km.top_index + 1
+            assert np.array_equal(simple.actions, km.actions[even, :n, :n]), (a, b)
 
 
 def test_actions_are_read_only_and_their_entries_are_read_once():
@@ -388,10 +392,14 @@ def test_root_weight_spaces_from_one_weight_read(p):
                 assert got == spaces.get(w, Subspace.zero(p, km.dim))
 
 
+def pivots_reference(space):
+    # the leading column of each basis row
+    return (space.basis != 0).argmax(axis=1) if space.dim else np.zeros(0, dtype=np.int64)
+
+
 def residual_reference(space, rows):
     # the dense product over all ambient columns
-    pivots = (space.basis != 0).argmax(axis=1) if space.dim else np.zeros(0, dtype=np.int64)
-    return (rows - rows[:, pivots] @ space.basis) % space.p
+    return (rows - rows[:, pivots_reference(space)] @ space.basis) % space.p
 
 
 @pytest.mark.parametrize("p", [3, 7, 101, 65521])
@@ -402,10 +410,16 @@ def test_sparse_residual_matches_dense_product(p):
         span = rng.integers(0, p, size=(int(rng.integers(0, n + 2)), n))
         span[rng.random(span.shape) < 0.6] = 0
         space = Subspace.from_spanning(p, n, span)
+        assert np.array_equal(space.pivots, pivots_reference(space))
         rows = rng.integers(0, p, size=(int(rng.integers(0, 6)), n))
         rows[rng.random(rows.shape) < 0.3] = 0
         rows[:1] = 0
-        for probe in (rows, rows[:0], np.zeros((3, n), dtype=np.int64)):
+        # rows whose coefficients use every basis row, outside and inside the span
+        every = rng.integers(0, p, size=(3, n))
+        every[:, space.pivots] = rng.integers(1, p, size=(3, space.dim))
+        inside = every[:, space.pivots] @ space.basis % p
+        assert not space._residual(inside).any()
+        for probe in (rows, rows[:0], np.zeros((3, n), dtype=np.int64), every, inside):
             assert np.array_equal(space._residual(probe), residual_reference(space, probe))
     # the largest terms: (p-1)^2, twenty of them in every non-pivot column
     dense = np.concatenate([np.eye(20, dtype=np.int64), np.full((20, 20), p - 1)], axis=1)

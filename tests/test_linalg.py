@@ -177,12 +177,18 @@ class TestSubspaceArithmetic:
         assert s == Subspace.from_spanning(3, 3, [[1, 2, 1], [0, 0, 2]])
         assert Subspace(3, 2, []) == Subspace.zero(3, 2)
 
+    def test_the_zero_ambient_space_has_no_pivots(self):
+        for s in (Subspace(5, 0, []), Subspace.zero(5, 0)):
+            assert s.dim == 0 and s.contains([])
+            assert s.pivots.shape == (0,) and not s.pivots.flags.writeable
+
     def test_stored_entries_are_reduced_copies(self):
         # out-of-range entries are reduced; the caller's array stays its own
         basis = np.array([[4, -1, 0], [0, 0, 7]])
         s = Subspace(3, 3, basis)
         m = FpMatrix(3, basis)
         assert s.basis.tolist() == m.tolist() == [[1, 2, 0], [0, 0, 1]]
+        assert s.pivots.tolist() == [0, 2] and not s.pivots.flags.writeable
         reduced = np.array([[1, 2, 0], [0, 0, 1]])
         assert not np.shares_memory(Subspace(3, 3, reduced).basis, reduced)
         assert not np.shares_memory(FpMatrix(3, reduced[:1]).data, reduced)
