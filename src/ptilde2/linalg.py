@@ -255,6 +255,18 @@ class FpMatrix:
         return self.data.tolist()
 
 
+def _row_grid(rows, n: int) -> np.ndarray:
+    """rows as a 2-D int64 grid of width n: empty, one n-vector, or n-wide rows."""
+    grid = np.asarray(rows, dtype=np.int64)
+    if grid.size == 0:
+        return grid.reshape(0, n)
+    if grid.shape == (n,):
+        return grid.reshape(1, n)
+    if grid.ndim != 2 or grid.shape[1] != n:
+        raise ValueError(f"expected rows of width {n}, got an array of shape {grid.shape}")
+    return grid
+
+
 class Subspace:
     """A subspace of F_p^n held as a canonical reduced-echelon row basis.
 
@@ -269,9 +281,7 @@ class Subspace:
     def __init__(self, p: int, ambient_dim: int, basis):
         self.p = check_odd_prime(p)
         self.ambient_dim = int(ambient_dim)
-        rows = np.asarray(basis, dtype=np.int64)
-        shape = (0, self.ambient_dim) if rows.size == 0 else (-1, self.ambient_dim)
-        self.basis = _frozen_grid(self.p, rows.reshape(shape))
+        self.basis = _frozen_grid(self.p, _row_grid(basis, self.ambient_dim))
         # canonical: leading entries 1 in strictly increasing columns, and each
         # pivot column a unit column (a zero row fails at its column-0 "pivot")
         pivots = (self.basis != 0).argmax(axis=1) if self.dim else np.zeros(0, dtype=np.int64)
@@ -285,7 +295,7 @@ class Subspace:
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, rows) -> "Subspace":
         """Canonicalize an arbitrary spanning set of row vectors."""
-        a = np.mod(np.asarray(rows, dtype=np.int64).reshape(-1, ambient_dim), p).copy()
+        a = np.mod(_row_grid(rows, ambient_dim), p)
         pivots = _rref_in_place(a, p)
         return cls(p, ambient_dim, a[: len(pivots)])
 

@@ -15,9 +15,9 @@ with the bracket expanded through the structure constants.  A weight module
 (distinct basis weights, each entry shifting weight by its root) has one
 nonzero per action column, so its law is one scalar per (pair, column): a
 table of one matrix product and two gathers.  Any other module is checked by
-a sorted join of its entries.  The Kac module K(a, b) is written from one
-list of twelve closed-form bands, and the simple module L(a, b) from its
-first four, the g_0 bands on the even half.
+the dense identity, the law's definition over whole matrices.  The Kac
+module K(a, b) is written from one list of twelve closed-form bands, and the
+simple module L(a, b) from its first four, the g_0 bands on the even half.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ class GModule:
     def representation_violations(self) -> list[tuple[int, int]]:
         """Algebra basis pairs (i, j) where the representation law fails, in order.
 
-        A weight module is checked weight by weight, any other by the sparse
-        join of its entries; both give the same pairs.
+        A weight module is checked weight by weight, any other by the dense
+        identity; both give the same pairs.
         """
         bad = _weighted_violations(self)
-        return _joined_violations(self) if bad is None else bad
+        return _dense_violations(self) if bad is None else bad
 
     def parity_violations(self) -> list[tuple[int, int, int]]:
         """Entries (i, r, c) where action i does not respect the parity split."""
@@ -166,15 +166,14 @@ class GModule:
 
 @lru_cache(maxsize=32)
 def _law_constants(g: Superalgebra) -> tuple:
-    """Once per algebra: each c_ijk != 0 as (i * dim g + j, k, c_ijk), (-1)^{|x_u||x_w|}, and
-    the roots, or None unless every c_ijk != 0 has root(k) = root(i) + root(j)."""
+    """Once per algebra: the signs (-1)^{|x_u||x_w|}, and the roots, or None unless
+    every c_ijk != 0 has root(k) = root(i) + root(j)."""
     si, sj, sk = np.nonzero(g.structure)
     par = np.asarray(g.parity)
     roots = _root_weights(g)
     if roots is not None and np.any((roots[si] + roots[sj] - roots[sk]) % g.p):
         roots = None
-    sign = np.where(np.outer(par, par) % 2, -1, 1)
-    return si * g.dim + sj, sk, g.structure[si, sj, sk], sign, roots
+    return np.where(np.outer(par, par) % 2, -1, 1), roots
 
 
 def _weighted_violations(m: GModule) -> list[tuple[int, int]] | None:
@@ -187,7 +186,7 @@ def _weighted_violations(m: GModule) -> list[tuple[int, int]] | None:
     of weight wt(c) + root(i) + root(j).
     """
     g, p, w = m.algebra, m.p, m.weights
-    *_, sign, roots = _law_constants(g)
+    sign, roots = _law_constants(g)
     if roots is None or w is None:
         return None
     x, r, c, v = m.entries
@@ -204,36 +203,19 @@ def _weighted_violations(m: GModule) -> list[tuple[int, int]] | None:
     return [(k // dg, k % dg) for k in np.flatnonzero(np.any(law % p, axis=2)).tolist()]
 
 
-def _joined_violations(m: GModule) -> list[tuple[int, int]]:
-    """The failing pairs of any module, in order, from a join of its entries.
+def _dense_violations(m: GModule) -> list[tuple[int, int]]:
+    """The failing pairs of any module, in order, from the law's definition.
 
-    Every term of action([x_i, x_j]) - x_i x_j + sign x_j x_i is formed from
-    the nonzero entries alone, as a (pair, row, col, value) entry; one sort
-    of the keys sums the entries with exact integer reductions.
+    Every structure constant and action entry is a residue below p <
+    MAX_MODULUS = 2^16, so each product is below 2^32 and each entry of the
+    law sums fewer than dim g + 2 dim m < 2^31 of them: exact in int64.
     """
-    dg, dm = m.algebra.dim, m.dim
-    pair, sk, sc, sign, _ = _law_constants(m.algebra)
-    ax, ar, ac, av = m.entries
-    # action([x_i, x_j]) = sum_k c_ijk action(x_k): constant c_ijk meets entries of x_k
-    s, e = _join(sk, ax)
-    # (x_u x_w)[row, col] from entries (u, row, mid) and (w, mid, col) enters
-    # the pair (u, w) with sign -1 and the pair (w, u) with sign (-1)^{|x_u||x_w|}
-    u, w = _join(ac, ar)
-    xu, xw = ax[u], ax[w]
-    prod = av[u] * av[w]
-    cell = ar[u] * dm + ac[w]
-    pairs = np.concatenate([pair[s], xu * dg + xw, xw * dg + xu])
-    keys = pairs * dm * dm + np.concatenate([ar[e] * dm + ac[e], cell, cell])
-    val = np.concatenate([sc[s] * av[e], -prod, sign[xu, xw] * prod])
-    if val.size == 0:
-        return []
-    order = np.argsort(keys)
-    keys, val = keys[order], val[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    sums = np.add.reduceat(val, starts) % m.p
-    # keys are sorted, so the failing pairs come out in order
-    bad = (keys[starts[sums != 0]] // (dm * dm)).tolist()
-    return [(k // dg, k % dg) for k in dict.fromkeys(bad)]
+    acts = m.actions
+    sign, _ = _law_constants(m.algebra)
+    prod = np.einsum("iab,jbc->ijac", acts, acts)
+    law = np.einsum("ijk,kab->ijab", m.algebra.structure, acts)
+    law -= prod - sign[:, :, None, None] * prod.transpose(1, 0, 2, 3)
+    return [(i, j) for i, j in np.argwhere(np.any(law % m.p, axis=(2, 3))).tolist()]
 
 
 @dataclass(eq=False)
@@ -252,16 +234,6 @@ class KacModule(GModule):
 def _kac_index(t: int, parity: int, k: int) -> int:
     """Position of 1*v_k (parity 0) or g*v_k (parity 1) in a Kac basis of top index t."""
     return parity * (t + 1) + k
-
-
-def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (l, r) with left[l] == right[r], grouped by l."""
-    order = np.argsort(right, kind="stable")
-    lo = np.searchsorted(right[order], left, side="left")
-    counts = np.searchsorted(right[order], left, side="right") - lo
-    li = np.repeat(np.arange(left.size), counts)
-    offset = np.arange(li.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return li, order[lo[li] + offset]
 
 
 def _interval(lo: int, hi: int) -> range:
@@ -441,12 +413,12 @@ def _module_weights(m: GModule) -> np.ndarray:
 
 def weight_decomposition(m: GModule) -> dict[Weight, Subspace]:
     """Group module basis vectors by their simultaneous Cartan eigenvalue pair."""
-    return _weight_spaces(m.p, np.array(basis_module_weights(m)))
+    return _weight_spaces(m.p, _module_weights(m))
 
 
 def target_weight_space(m: GModule, w: Weight) -> Subspace:
     """The weight space at w by direct eigenvalue matching (any w permitted)."""
-    return _matching_weight_space(m.p, np.array(basis_module_weights(m)), w)
+    return _matching_weight_space(m.p, _module_weights(m), w)
 
 
 def _matching_weight_space(p: int, weights: np.ndarray, w: Weight) -> Subspace:

@@ -324,12 +324,12 @@ def law_modules(p, rng):
                 acts = m.actions.copy()
                 acts[i, r, c] = (acts[i, r, c] + rng.integers(1, p)) % p
                 yield GModule(m.algebra, m.labels, m.parity, acts), None
-        # one off-diagonal Cartan entry: no weights, so the law is the sparse join
+        # one off-diagonal Cartan entry: no weights, so the law is the dense identity
         acts = km.actions.copy()
         acts[h1, 0, km.dim - 1] = 1
         yield GModule(algebra=g, labels=km.labels, parity=km.parity, actions=acts), None
         # K + K with one alpha entry re-pointed into the other copy: its target has
-        # the same weight, but the weights repeat, so only the sparse join sees the break
+        # the same weight, but the weights repeat, so only the dense identity sees the break
         pair = direct_sum(km, km)
         if km.top_index > 0:
             acts = pair.actions.copy()
@@ -340,13 +340,13 @@ def law_modules(p, rng):
 
 
 def test_sparse_representation_law_matches_einsum():
-    """Both law paths, the weight table and the sparse join, against the dense einsum."""
+    """Both law paths, the weight table and the dense identity, against the dense einsum."""
     rng = np.random.default_rng(5)
     checked, caught = {True: 0, False: 0}, {True: 0, False: 0}
     for p in (3, 5, 7):
         for m, holds in law_modules(p, rng):
             found = m.representation_violations()
-            assert found == violations_reference(m) == modules._joined_violations(m)
+            assert found == violations_reference(m) == modules._dense_violations(m)
             if holds is not None:
                 assert (found == []) is holds
             by_weight = modules._weighted_violations(m) is not None

@@ -177,6 +177,19 @@ class TestSubspaceArithmetic:
         assert s == Subspace.from_spanning(3, 3, [[1, 2, 1], [0, 0, 2]])
         assert Subspace(3, 2, []) == Subspace.zero(3, 2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Subspace(5, 2, [[1, 0, 0, 1]]),
+            lambda: Subspace.from_spanning(5, 2, [[1, 2, 3, 4]]),
+            lambda: Subspace.from_spanning(5, 2, [[[1, 0]], [[0, 1]]]),
+        ],
+    )
+    def test_rows_of_the_wrong_width_are_rejected(self, make):
+        # each would otherwise be reshaped into two 2-wide rows spanning F_5^2
+        with pytest.raises(ValueError, match="width 2"):
+            make()
+
     def test_the_zero_ambient_space_has_no_pivots(self):
         for s in (Subspace(5, 0, []), Subspace.zero(5, 0)):
             assert s.dim == 0 and s.contains([])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ptilde2 import modules
 from ptilde2.linalg import Subspace
 from ptilde2.modules import (
     GModule,
@@ -149,6 +150,20 @@ class TestKacModule:
                 assert km.representation_violations() == []
                 assert km.parity_violations() == []
 
+    # the dense identity costs O(dim^3) a module: no built module may fall onto it
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_built_modules_use_the_weight_table(self, p):
+        g = build_p_tilde_2(p)
+        g0 = grade_zero_subalgebra(g)
+        for a, b in itertools.product(range(p), repeat=2):
+            assert modules._weighted_violations(build_kac_module(g, a, b)) == []
+            assert modules._weighted_violations(build_simple_module(g0, a, b)) == []
+
+    @pytest.mark.parametrize("p", [61, 199])
+    def test_top_cell_uses_the_weight_table(self, p):
+        km = build_kac_module(build_p_tilde_2(p), 0, p - 2)
+        assert modules._weighted_violations(km) == []
+
     def test_spot_representation_law_p7(self):
         g = build_p_tilde_2(7)
         for a, b in [(0, 0), (3, 5), (6, 6), (2, 4)]:
@@ -218,6 +233,11 @@ class TestTargetWeightSpaces:
                     assert target_weight_space(km, w) == case_table_weight_space(
                         p, a, b, w
                     ), (p, a, b, w)
+
+    def test_zero_module_has_no_weights(self, g5):
+        zero = GModule(algebra=g5, labels=(), parity=(), actions=np.zeros((8, 0, 0)))
+        assert target_weight_space(zero, Weight(0, 0)) == Subspace.zero(5, 0)
+        assert weight_decomposition(zero) == {}
 
     def test_non_root_weight_rejected_by_case_table(self):
         with pytest.raises(KeyError):
