@@ -10,6 +10,9 @@ h1 is cut into batches, each solved as one direct-sum system
 cell's finding, and the rest of its batch is still solved.  Scans hand batches
 to worker processes, which return every cell's outcome; the parent emits the
 rows in order or raises the first failing cell's error, for any worker count.
+Every click.echo names its stream: without file=, click caches a text wrapper
+per stream it writes to that holds the stream alive, so every CliRunner
+invocation would leave its output streams behind.
 """
 
 from __future__ import annotations
@@ -202,9 +205,9 @@ class _Commands(click.Group):
         try:
             return super().invoke(ctx)
         except SolverFailure as exc:
-            click.echo(f"internal solver failure: {exc}", err=True)
+            click.echo(f"internal solver failure: {exc}", file=sys.stderr)
         except RepresentationError as exc:
-            click.echo(f"module build failed: {exc}", err=True)
+            click.echo(f"module build failed: {exc}", file=sys.stderr)
         sys.exit(1)
 
 
@@ -224,21 +227,24 @@ def cmd_h1(p, a, b, fmt):
     km = build_kac_module(g, a, b)
     rep = h1(g, km)
     if fmt == "json":
-        click.echo(json.dumps(report_to_json(rep, g, km), indent=2))
+        click.echo(json.dumps(report_to_json(rep, g, km), indent=2), file=sys.stdout)
         return
     d = rep.dims
-    click.echo(f"p = {p}, lambda = ({residue(a, p)}, {residue(b, p)}), dim K = {km.dim}")
-    click.echo(f"der_even = {d.der_even}  der_odd = {d.der_odd}")
-    click.echo(f"ider_even = {d.ider_even}  ider_odd = {d.ider_odd}")
-    click.echo(f"h1_even = {d.h1_even}  h1_odd = {d.h1_odd}  h1_total = {d.h1_total}")
-    click.echo(f"predicted = {rep.predicted}  agrees = {str(rep.agrees).lower()}")
+    lines = [
+        f"p = {p}, lambda = ({residue(a, p)}, {residue(b, p)}), dim K = {km.dim}",
+        f"der_even = {d.der_even}  der_odd = {d.der_odd}",
+        f"ider_even = {d.ider_even}  ider_odd = {d.ider_odd}",
+        f"h1_even = {d.h1_even}  h1_odd = {d.h1_odd}  h1_total = {d.h1_total}",
+        f"predicted = {rep.predicted}  agrees = {str(rep.agrees).lower()}",
+    ]
     for i, c in enumerate(rep.representatives):
         nz = {
             g.labels[j]: {km.labels[r]: int(c.values[r, j]) for r in np.nonzero(c.values[:, j])[0]}
             for j in range(g.dim)
             if np.any(c.values[:, j])
         }
-        click.echo(f"representative {i} (parity {c.parity}): {nz}")
+        lines.append(f"representative {i} (parity {c.parity}): {nz}")
+    click.echo("\n".join(lines), file=sys.stdout)
 
 
 @main.command("scan")
@@ -250,13 +256,13 @@ def cmd_scan(p, out, jobs):
     rows = scan_rows(p, jobs)
     summary = scan_summary(p, rows)
     if out == "csv":
-        click.echo(CSV_HEADER)
+        click.echo(CSV_HEADER, file=sys.stdout)
         for row in rows:
-            click.echo(row.csv())
-        click.echo(f"# summary: {json.dumps(summary, sort_keys=True)}", err=True)
+            click.echo(row.csv(), file=sys.stdout)
+        click.echo(f"# summary: {json.dumps(summary, sort_keys=True)}", file=sys.stderr)
     else:
         payload = {"p": p, "rows": [vars(r) for r in rows], "summary": summary}
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
 
 
 def suite_algebra(p: int) -> list[str]:
@@ -455,11 +461,11 @@ def cmd_check(p, suite):
     for name, failures in zip(names, results):
         if failures:
             any_failed = True
-            click.echo(f"suite {name}: FAIL ({len(failures)} findings)")
+            click.echo(f"suite {name}: FAIL ({len(failures)} findings)", file=sys.stdout)
             for f in failures[:10]:
-                click.echo(f"  {f}")
+                click.echo(f"  {f}", file=sys.stdout)
         else:
-            click.echo(f"suite {name}: PASS")
+            click.echo(f"suite {name}: PASS", file=sys.stdout)
     sys.exit(1 if any_failed else 0)
 
 
@@ -472,10 +478,10 @@ def cmd_export(p, a, b, what):
     """Emit the JSON form of the algebra, or of the Kac module at (a, b)."""
     g = _algebra_cache(p)
     if what == "algebra":
-        click.echo(json.dumps(superalgebra_to_json(g), indent=2))
+        click.echo(json.dumps(superalgebra_to_json(g), indent=2), file=sys.stdout)
     else:
         km = build_kac_module(g, a, b)
-        click.echo(json.dumps(gmodule_to_json(km), indent=2))
+        click.echo(json.dumps(gmodule_to_json(km), indent=2), file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,13 @@ parity-f cochain phi is a derivation when, for all homogeneous x, y,
 
     phi([x, y]) = (-1)^{f|x|} x phi(y) - (-1)^{|y|(f+|x|)} y phi(x).
 
-The identity is generated for all 64 ordered basis pairs (the redundancy is
-cheap and guards against sign slips), as the sparse entries of one system per
-cell for both parities.  The coordinate phi(x_k)_r belongs to the cochains of
+The bracket is super-antisymmetric, so the identity on (x_j, x_i) is the
+identity on (x_i, x_j) times -(-1)^{|x_i||x_j|}, and on (x, x) with x even it
+reads 0 = 0.  So it is generated for the pairs i < j and the odd pairs i = j
+only, 32 of the 64 (a bracket that is not super-antisymmetric raises), as the
+sparse entries of one system per cell for both parities.  A sign slip in it
+is caught by h1's check that Ider lies in Der, or else by the closed form; the
+tests plant such slips.  The coordinate phi(x_k)_r belongs to the cochains of
 parity |r| + |x_k| and has weight wt(r) - root(k); the equation of the pair
 (i, j) at module row r has the signs of parity f = |r| + |x_i| + |x_j| and
 weight wt(r) - root(i) - root(j), mod p.  So every row is parity-pure, and an
@@ -50,7 +54,7 @@ validated solver is the oracle of record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +67,7 @@ from .linalg import (
     _rref_in_place,
     check_odd_prime,
 )
-from .modules import GModule, _kac_index, build_kac_module, residue
+from .modules import GModule, _kac_index, _law_constants, build_kac_module, residue
 from .superalgebra import P2_LABELS, Superalgebra, _root_weights, build_p_tilde_2
 
 __all__ = [
@@ -190,20 +194,45 @@ def _coherent_columns(g: Superalgebra, m: GModule, parity: int) -> np.ndarray:
     return np.flatnonzero(_coordinate_parities(g, m) == parity)
 
 
+@lru_cache(maxsize=32)
+def _kept_pairs(g: Superalgebra) -> np.ndarray:
+    """Once per algebra: the pairs (i, j) the derivation system keeps, i < j or x_i = x_j odd.
+
+    Raises ValueError unless the bracket is super-antisymmetric,
+    [x_j, x_i] = -(-1)^{|x_i||x_j|} [x_i, x_j]: then the identity on (j, i)
+    is the identity on (i, j) times -(-1)^{|x_i||x_j|}, and the identity on
+    (x, x) with x even reads 0 = 0, so the other pairs add no equation.
+    """
+    sign, _ = _law_constants(g)
+    bad = np.any((g.structure + sign[:, :, None] * g.structure.transpose(1, 0, 2)) % g.p, axis=2)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"the bracket is not super-antisymmetric at ({g.labels[i]}, {g.labels[j]})"
+        )
+    i, j = np.indices((g.dim, g.dim))
+    kept = (i < j) | ((i == j) & (np.asarray(g.parity)[i] == 1))
+    kept.setflags(write=False)
+    return kept
+
+
 def _system_entries(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 64-pair derivation system of both parities as sparse (row, column, value) entries.
+    """The derivation system of both parities as sparse (row, column, value) entries.
 
     Row (i * dim g + j) * dim M + r is module row r of the identity on the
     pair (i, j), with the signs of its parity f = |r| + |x_i| + |x_j|, and
-    column r * dim g + k is the flat coordinate phi(x_k)_r.  Entries at the
-    same position add.
+    column r * dim g + k is the flat coordinate phi(x_k)_r.  Only the pairs
+    of _kept_pairs have rows, 32 of the 64 for P~(2); the others' rows are
+    signed copies of these or zero, and are absent.  Entries at the same
+    position add.
     """
     dm, dg = m.dim, g.dim
     par = np.asarray(g.parity)
+    kept = _kept_pairs(g)
     rs = np.arange(dm)
     js = np.arange(dg)
     # phi([x_i, x_j]) = sum_k c_ijk phi(x_k), at every module row r
-    ci, cj, ck = np.nonzero(g.structure)
+    ci, cj, ck = np.nonzero(g.structure * kept[:, :, None])
     c_rows = ((ci * dg + cj) * dm)[:, None] + rs
     c_cols = rs * dg + ck[:, None]
     c_vals = np.broadcast_to(g.structure[ci, cj, ck][:, None], c_rows.shape)
@@ -211,18 +240,19 @@ def _system_entries(g: Superalgebra, m: GModule) -> tuple[np.ndarray, np.ndarray
     ax, ar, ac, av = m.entries
     av = av[:, None]
     x_par, r_par = par[ax][:, None], np.asarray(m.parity)[ar][:, None]
-    # - (-1)^{f|x_i|} x_i phi(x_j), for every j
+    cols = ac[:, None] * dg + js
+    # - (-1)^{f|x_i|} x_i phi(x_j), for every kept (x_i, x_j)
+    i_kept = kept[ax]
     i_rows = (ax[:, None] * dg + js) * dm + ar[:, None]
-    i_cols = ac[:, None] * dg + js
     i_vals = np.where(x_par * (r_par + x_par + par) % 2, 1, -1) * av
-    # + (-1)^{|x_j|(f+|x_i|)} x_j phi(x_i), for every i, where f + |x_i| = |r| + |x_j|
+    # + (-1)^{|x_j|(f+|x_i|)} x_j phi(x_i), for every kept (x_i, x_j), where f + |x_i| = |r| + |x_j|
+    j_kept = kept[:, ax].T
     j_rows = (js * dg + ax[:, None]) * dm + ar[:, None]
-    j_cols = ac[:, None] * dg + js
     j_vals = np.broadcast_to(np.where(x_par * (r_par + x_par) % 2, -1, 1) * av, j_rows.shape)
     return (
-        np.concatenate([c_rows.ravel(), i_rows.ravel(), j_rows.ravel()]),
-        np.concatenate([c_cols.ravel(), i_cols.ravel(), j_cols.ravel()]),
-        np.concatenate([c_vals.ravel(), i_vals.ravel(), j_vals.ravel()]),
+        np.concatenate([c_rows.ravel(), i_rows[i_kept], j_rows[j_kept]]),
+        np.concatenate([c_cols.ravel(), cols[i_kept], cols[j_kept]]),
+        np.concatenate([c_vals.ravel(), i_vals[i_kept], j_vals[j_kept]]),
     )
 
 

@@ -1,10 +1,12 @@
 """Dense references for the solver and the module builders, kept for the tests only.
 
-The solver assembles the 64-pair derivation system as sparse entries, weight
-block by weight block, and selects the weight-derivation coordinates by their
-weight code.  These are the direct forms it replaced: the whole dense system,
-and the coordinates whose module weight equals the root of their algebra
-basis element, read off the public weight tables.  The Kac and simple
+The solver assembles the derivation system as sparse entries on the 32 pairs
+i < j and i = j with x_i odd, and selects the weight-derivation coordinates
+by their weight code.  These are the direct forms it replaced: the whole
+dense system over all 64 ordered pairs, whose other 32 pairs the tests check
+to be signed copies of the kept ones or zero, and the coordinates whose
+module weight equals the root of their algebra basis element, read off the
+public weight tables.  The Kac and simple
 modules are written from closed-form index arrays; their references are the
 loops over k that transcribe the action list one entry at a time.
 """

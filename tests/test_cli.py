@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -36,6 +37,19 @@ class TestH1Command:
         assert data["dims"]["h1_total"] == 0
         assert data["agrees"] is True
         assert data["lambda"] == [1, 1]
+
+    def test_invocations_keep_no_output_stream_alive(self, runner):
+        # click.echo without file= caches a wrapper of each stream it writes
+        # to, which holds that stream alive: one per CliRunner invocation
+        def live_streams():
+            gc.collect()
+            return sum(type(o).__name__ == "_NamedTextIOWrapper" for o in gc.get_objects())
+
+        args = ["h1", "--p", "5", "--a", "0", "--b", "3", "--format", "json"]
+        before = live_streams()
+        for _ in range(30):
+            assert runner.invoke(main, args).exit_code == 0
+        assert live_streams() - before <= 2
 
     def test_composite_modulus_is_usage_error(self, runner):
         result = runner.invoke(main, ["h1", "--p", "4", "--a", "0", "--b", "0"])

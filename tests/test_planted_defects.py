@@ -122,6 +122,51 @@ def test_dropped_pair_breaks_the_blocked_solver(monkeypatch, g5):
     assert not h1(g5, km).agrees
 
 
+def slipped_entries(label_i, label_j):
+    """_system_entries with the term x_i phi(x_j) of the identity on {x_i, x_j} negated.
+
+    The system holds that identity once, on (i, j) or on (j, i), whichever it
+    keeps; the term sits at the columns col % dim g == j of that pair's rows.
+    """
+    entries = cohomology._system_entries
+
+    def slipped(g, m):
+        rows, cols, vals = entries(g, m)
+        i, j = g.index(label_i), g.index(label_j)
+        pair = i * g.dim + j if cohomology._kept_pairs(g)[i, j] else j * g.dim + i
+        hit = (rows // m.dim == pair) & (cols % g.dim == j)
+        return rows, cols, np.where(hit, -vals, vals)
+
+    return slipped
+
+
+# Negating both action terms of (gamma, gamma) or (e13, e13) is an equivalent
+# mutant: [x, x] = 0 there, so the identity only says that x phi(x) = 0.
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("alpha", "beta"),
+        ("h1", "alpha"),
+        ("alpha", "e13"),
+        ("beta", "gamma"),
+        ("gamma", "e13"),
+        ("h1", "e24"),
+        ("beta", "e14+e23"),
+    ],
+)
+def test_sign_slip_in_one_pair_lets_inner_derivations_escape(monkeypatch, pair):
+    monkeypatch.setattr(cohomology, "_system_entries", slipped_entries(*pair))
+    with pytest.raises(cohomology.SolverFailure, match="inner derivations escaped"):
+        cli.scan_rows(5)
+
+
+def test_sign_slip_in_one_pair_breaks_the_closed_form(monkeypatch):
+    # the slip on (e13, e24) keeps Ider inside Der, but loses the even cocycle of K(2, 4)
+    monkeypatch.setattr(cohomology, "_system_entries", slipped_entries("e13", "e24"))
+    rows = cli.scan_rows(5)
+    assert [(row.a, row.b) for row in rows if not row.agrees] == [(2, 4)]
+
+
 @pytest.mark.parametrize("weight", [(0, 3), (1, 2)])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_one_extra_inner_vector_escapes_the_derivation_space(monkeypatch, g5, weight, parity):
