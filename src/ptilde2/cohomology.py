@@ -19,16 +19,16 @@ weight wt(r) - root(i) - root(j), mod p.  So every row is parity-pure, and an
 entry that crosses weights or parities raises.  Der and WDer are two column
 sets over the system: every coordinate, and those of weight 0.  Cells are
 solved in batches: Der(g, M_1 + ... + M_k) is the direct sum of the
-Der(g, M_c), so the even and the odd coordinates of every cell of a batch
-are the summands of one system, whose blocks, keyed by (summand, weight,
-parity), are exactly those of its summands.  One batched elimination
-reduces the zero-padded stack of all blocks, each with its columns
-reversed; the canonical block kernels are read straight off it, merged by
-leading column, and split into one canonical basis per summand: Der of one
-cell and parity.  A single cell is the batch of one, and everything after
-the solve is per cell and per parity.  All subspaces live in the flattened
-coordinate space of cochain matrices, flat index (row r, column j) ->
-r * dim(g) + j, so sums and membership tests compose across solver routes.
+Der(g, M_c), so every cell of a batch is one summand of one system, whose
+blocks, keyed by (summand, weight, parity), are exactly those of its
+summands.  One batched elimination reduces the zero-padded stack of all
+blocks, each with its columns reversed; the canonical block kernels are
+read straight off it, split by (summand, parity), and merged by leading
+column into one canonical basis per part: Der of one cell and parity.  A
+single cell is the batch of one, and everything after the solve is per
+cell and per parity.  All subspaces live in the flattened coordinate space
+of cochain matrices, flat index (row r, column j) -> r * dim(g) + j, so
+sums and membership tests compose across solver routes.
 Membership is the residual w - w[P] B over the rows of B that w uses, B a
 canonical basis with pivot columns P, found once per Subspace.  The rows
 independent modulo Ider are the pivot columns of one RREF of their
@@ -313,21 +313,22 @@ def _weight_zero_columns(system: _System) -> np.ndarray:
     return np.flatnonzero(system.coord_wt == 0)
 
 
-def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> list[Subspace]:
+def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> list[tuple]:
     """Kernels of several derivation systems, each restricted to its free coordinates.
 
     Each (system, column set) pair is one summand of a direct-sum system,
     which never exists as one matrix.  Summand c's coordinates are offset
     past those of the summands before it, and blocks are keyed by (c, weight,
-    parity), so each lies in one summand and is the block it alone would
-    have.  Rows are keyed by (block, row), so they need no offset.  The
-    entries are grouped by block into one zero-padded (blocks, rows, cols)
-    stack, each block with its columns in descending flat order, and the
-    whole stack is row-reduced by a single batched elimination.  The reversed
-    columns let each block's canonical kernel be read straight off its
-    reduced form.  The block kernels have disjoint supports, so sorting their
-    rows by leading column gives, summand after summand, each summand's
-    canonical basis.
+    parity), so each lies in one summand and one parity and is the block that
+    summand alone would have.  Rows are keyed by (block, row), so they need no
+    offset.  The entries are grouped by block into one zero-padded (blocks,
+    rows, cols) stack, each block with its columns in descending flat order,
+    and the whole stack is row-reduced by a single batched elimination.  The
+    reversed columns let each block's canonical kernel be read straight off
+    its reduced form.  The block kernels have disjoint supports, so sorting
+    their rows by (summand, parity), read off the block code, and then by
+    leading column gives each summand's canonical basis per parity, as an
+    (even, odd) pair.
     """
     p, dg = systems[0].g.p, systems[0].g.dim
     sizes = np.array([system.coord_wt.size for system in systems])
@@ -335,7 +336,7 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
     n = int(offsets[-1])
     free_cols = np.concatenate([cols + offsets[c] for c, cols in enumerate(columns)])
     if free_cols.size == 0:
-        return [Subspace.zero(p, size) for size in sizes]
+        return [(Subspace.zero(p, size),) * 2 for size in sizes]
     coord_block = np.concatenate(
         [(system.coord_wt + c * p * p) * 2 + system.coord_par for c, system in enumerate(systems)]
     )
@@ -381,12 +382,13 @@ def _solve_constrained(systems: list[_System], columns: list[np.ndarray]) -> lis
     local = np.where(block_cols[free_b] < n, block_cols[free_b] - offsets[summand][:, None], width)
     merged = np.zeros((free_b.size, width + 1), dtype=np.int64)
     merged[np.arange(free_b.size)[:, None], local] = vectors
-    leads = block_cols[free_b, free_c]
-    by_lead = np.argsort(leads)
-    bounds = np.searchsorted(leads[by_lead], offsets)
-    merged = merged[by_lead]
+    # part 2c + s: summand c's rows of parity s, the last bit of their block code
+    part = summand * 2 + codes[free_b] % 2
+    by_part = np.lexsort((block_cols[free_b, free_c], part))
+    parts = np.split(merged[by_part], np.searchsorted(part[by_part], np.arange(1, 2 * sizes.size)))
     return [
-        Subspace(p, size, merged[bounds[c] : bounds[c + 1], :size]) for c, size in enumerate(sizes)
+        tuple(Subspace(p, size, rows[:, :size]) for rows in parts[2 * c : 2 * c + 2])
+        for c, size in enumerate(sizes)
     ]
 
 
@@ -396,7 +398,7 @@ def _parity_space(g: Superalgebra, m: GModule, parity: int, columns) -> CochainS
         raise ValueError(f"cochain parity must be 0 or 1, got {parity!r}")
     system = _graded_system(g, m)
     cols = columns(system)
-    space = _solve_constrained([system], [cols[system.coord_par[cols] == parity]])[0]
+    space = _solve_constrained([system], [cols[system.coord_par[cols] == parity]])[0][parity]
     return CochainSpace(parity, space, (m.dim, g.dim))
 
 
@@ -591,19 +593,18 @@ def _h1_batch(g: Superalgebra, modules: list[GModule]) -> list:
     """h1 of several cells at once: per module, (report, wder, ider) or its SolverFailure.
 
     Each cell's system is assembled once, and one _solve_constrained call
-    takes each cell's even and then odd coordinates as its summands, so it
-    returns Der per cell and parity.  The rest is per cell and per parity, in
+    takes each cell as one summand with every coordinate free, so it returns
+    Der per cell and parity.  The rest is per cell and per parity, in
     _h1_from_spaces, which reduces only WDer's rows modulo Ider; a cell whose
     checks fail gives its SolverFailure and leaves the others be.
     """
     if any(m.highest_weight is None for m in modules):
         raise ValueError("module must carry its highest weight")
     systems = [_graded_system(g, m) for m in modules]
-    halves = [np.flatnonzero(x.coord_par == s) for x in systems for s in (0, 1)]
-    spaces = iter(_solve_constrained([x for x in systems for _ in (0, 1)], halves))
+    spaces = _solve_constrained(systems, [np.arange(x.coord_par.size) for x in systems])
     outcomes = []
-    for system in systems:
-        der = {s: CochainSpace(s, next(spaces), (system.m.dim, g.dim)) for s in (0, 1)}
+    for system, pair in zip(systems, spaces):
+        der = {s: CochainSpace(s, pair[s], (system.m.dim, g.dim)) for s in (0, 1)}
         try:
             outcomes.append(_h1_from_spaces(system, der))
         except SolverFailure as exc:

@@ -209,13 +209,22 @@ def _dense_violations(m: GModule) -> list[tuple[int, int]]:
     Every structure constant and action entry is a residue below p <
     MAX_MODULUS = 2^16, so each product is below 2^32 and each entry of the
     law sums fewer than dim g + 2 dim m < 2^31 of them: exact in int64.
+    Step i checks (i, j) and (j, i) for j <= i from x_i x_j and x_j x_i, so
+    it holds at most dim g of the module's n x n matrices at once.
     """
-    acts = m.actions
-    sign, _ = _law_constants(m.algebra)
-    prod = np.einsum("iab,jbc->ijac", acts, acts)
-    law = np.einsum("ijk,kab->ijab", m.algebra.structure, acts)
-    law -= prod - sign[:, :, None, None] * prod.transpose(1, 0, 2, 3)
-    return [(i, j) for i, j in np.argwhere(np.any(law % m.p, axis=(2, 3))).tolist()]
+    g, p, n, acts = m.algebra, m.p, m.dim, m.actions
+    sign, _ = _law_constants(g)
+    flat = acts.reshape(g.dim, n * n)
+    bad = np.zeros((g.dim, g.dim), dtype=bool)
+    for i in range(g.dim):
+        head = acts[: i + 1]
+        right, left = acts[i] @ head, head @ acts[i]  # [j] = x_i x_j and x_j x_i
+        s = sign[i, : i + 1, None, None]
+        law = (g.structure[i, : i + 1] @ flat).reshape(i + 1, n, n) - right + s * left
+        bad[i, : i + 1] = np.any(law % p, axis=(1, 2))
+        law = (g.structure[: i + 1, i] @ flat).reshape(i + 1, n, n) - left + s * right
+        bad[: i + 1, i] = np.any(law % p, axis=(1, 2))
+    return [(i, j) for i, j in np.argwhere(bad).tolist()]
 
 
 @dataclass(eq=False)

@@ -1,10 +1,11 @@
 """Batches of cells against the batch of one.
 
 Der(g, M_1 + ... + M_k) is the direct sum of the Der(g, M_c), so a batch is
-solved as one system whose weight blocks are refined by cell.  Every cell of
-a batch must come out exactly as it does alone: the same dims, the same
-representative bytes, and the same Der, WDer and Ider bases.  The blocks the
-batch eliminates must be exactly the blocks of its cells.
+solved as one system, one summand per cell, whose weight and parity blocks
+are refined by cell.  Every cell of a batch must come out exactly as it does
+alone: the same dims, the same representative bytes, and the same Der, WDer
+and Ider bases per parity.  The blocks the batch eliminates must be exactly
+the blocks of its cells.
 """
 
 import numpy as np
@@ -32,13 +33,15 @@ ALGEBRAS = {p: build_p_tilde_2(p) for p in (3, 5, 7, 13)}
 
 
 def solved_spaces(g, modules):
-    """Der and WDer per parity, one solve per (route, parity): {(route, parity): [Subspace]}."""
+    """Der and WDer per parity, one solve per route: {(route, parity): [Subspace per cell]}."""
     systems = [_graded_system(g, m) for m in modules]
     out = {}
     for route, weight_zero in (("der", False), ("wder", True)):
+        columns = route_columns(None, weight_zero)
+        solved = _solve_constrained(systems, [columns(x) for x in systems])
+        assert len(solved) == len(modules) and all(len(pair) == 2 for pair in solved)
         for s in (0, 1):
-            columns = route_columns(s, weight_zero)
-            out[route, s] = _solve_constrained(systems, [columns(x) for x in systems])
+            out[route, s] = [pair[s] for pair in solved]
     return out
 
 

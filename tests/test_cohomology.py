@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ptilde2 import cli, cohomology
 from ptilde2.cohomology import (
     Cochain,
+    CochainSpace,
     RouteDisagreement,
     SolverFailure,
     _h1_batch,
@@ -26,7 +27,7 @@ from ptilde2.cohomology import (
     weight_derivation_space,
     weight_plus_inner_equals_der,
 )
-from ptilde2.linalg import FpMatrix
+from ptilde2.linalg import FpMatrix, Subspace
 from ptilde2.modules import build_kac_module, residue
 from ptilde2.superalgebra import build_p_tilde_2
 
@@ -414,6 +415,37 @@ class TestLemmaChecks:
         for a in range(p):
             for b in range(p):
                 assert cartan_values_annihilated(g, build_kac_module(g, a, b)) == []
+
+    @staticmethod
+    def cartan_on_v0(g, km, cartan):
+        """The even cochain with phi(h) = 1*v_0 for each h in cartan, zero elsewhere."""
+        values = np.zeros((km.dim, g.dim), dtype=np.int64)
+        values[km.even_index(0), [g.index(h) for h in cartan]] = 1
+        return Cochain(g.p, 0, values)
+
+    def test_cartan_values_not_annihilated_are_found_in_order(self, g5):
+        # in K(1, 2), 1*v_0 is moved by gamma (to g*v_0), h1 (by a = 1), h2 (by
+        # b = 2) and beta (to 1*v_1): (cochain, x, h), cochain by cochain, h by h
+        km = build_kac_module(g5, 1, 2)
+        zero = Cochain(5, 0, np.zeros((km.dim, g5.dim)))
+        cochains = [zero, self.cartan_on_v0(g5, km, ["h1", "h2"]), zero]
+        x = [g5.index(label) for label in ("gamma", "h1", "h2", "beta")]
+        h1_idx, h2_idx = g5.index("h1"), g5.index("h2")
+        assert x == [0, 1, 2, 4] and g5.cartan == (h1_idx, h2_idx)
+        assert cartan_values_annihilated(g5, km, cochains) == [
+            (1, i, h) for h in (h1_idx, h2_idx) for i in x
+        ]
+
+    def test_the_lemma_suite_reports_cartan_values_not_annihilated(self, g5):
+        # K(1, 2) lies in no regime, so the Cartan line is the only finding
+        km = build_kac_module(g5, 1, 2)
+        report, wder, ider = _h1_batch(g5, [km])[0]
+        flat = self.cartan_on_v0(g5, km, ["h1"]).flat()
+        bent = {0: CochainSpace(0, Subspace(5, flat.size, flat[None]), wder[0].shape), 1: wder[1]}
+        assert cli._lemma_findings(km, (report, wder, ider)) == []
+        assert cli._lemma_findings(km, (report, bent, ider)) == [
+            "Cartan values not annihilated at (1,2): [(0, 0, 1), (0, 1, 1), (0, 2, 1)]"
+        ]
 
     def test_raising_kills_cartan_value_of_cocycle(self, g5):
         # alpha applied to the value of the Cartan-supported cocycle is zero

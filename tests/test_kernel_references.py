@@ -13,6 +13,8 @@ modular_inverse call per pivot for the inverse table, and the subspace sum
 WDer + Ider for the weight route's rank modulo Ider.  Results must be
 equal, not merely equivalent.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,30 @@ def test_sparse_representation_law_matches_einsum():
             caught[by_weight] += bool(found)
     assert checked[True] > 250 and checked[False] > 350
     assert caught[True] > 80 and caught[False] > 350
+
+
+def test_the_dense_law_on_a_large_module_stays_within_8_mib():
+    # K(0, 59) at p = 61 (n = 120) in the basis I + E_01: no weights, so the
+    # dense identity runs; all of it at once would hold 28 MiB of arrays
+    g = build_p_tilde_2(61)
+    km = build_kac_module(g, 0, 59)
+    change, back = np.eye(km.dim, dtype=np.int64), np.eye(km.dim, dtype=np.int64)
+    change[0, 1], back[0, 1] = 1, g.p - 1
+    acts = back @ km.actions @ change % g.p
+    planted = acts.copy()
+    planted[g.index("alpha"), 3, 5] += 1
+    for actions, holds in ((acts, True), (planted, False)):
+        m = GModule(algebra=g, labels=km.labels, parity=km.parity, actions=actions)
+        assert m.weights is None
+        tracemalloc.start()
+        try:
+            found = modules._dense_violations(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert found == violations_reference(m)
+        assert (found == []) is holds
 
 
 def parity_violations_reference(m):

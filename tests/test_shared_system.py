@@ -2,9 +2,9 @@
 
 Cells are solved in batches (a single cell is the batch of one).  Each
 cell's system covers both parities and is assembled once; one solve takes
-the even and then the odd coordinates of every cell of the batch as its
-summands, and reduces them in at most one elimination; WDer is read off
-that Der, and suite_lemmas takes its spaces from that h1 computation.  The
+every cell of the batch as one summand, with all its coordinates free, and
+reduces them in at most one elimination; WDer is read off that Der, and
+suite_lemmas takes its spaces from that h1 computation.  The
 counts are taken by wrapping the private helpers with monkeypatch.
 """
 
@@ -63,14 +63,11 @@ def test_weight_derivations_need_a_diagonal_cartan(g5):
 
 
 def assert_one_solve(g, modules, solves):
-    """One solve whose summands are, cell after cell, Der's even and then odd coordinates."""
+    """One solve with one summand per cell, in order, each with every coordinate free."""
     assert len(solves) == 1
     systems, cols = solves[0]
-    assert [system.m for system in systems] == [m for m in modules for _ in (0, 1)]
-    parities = [cohomology._coordinate_parities(g, m) for m in modules]
-    assert [c.tolist() for c in cols] == [
-        np.flatnonzero(par == s).tolist() for par in parities for s in (0, 1)
-    ]
+    assert [x.m for x in systems] == modules
+    assert [c.tolist() for c in cols] == [list(range(m.dim * g.dim)) for m in modules]
 
 
 def test_h1_builds_one_system_per_cell(monkeypatch, g5):
@@ -85,7 +82,7 @@ def test_h1_builds_one_system_per_cell(monkeypatch, g5):
         h1(g5, km)
         assert [m for _, m in entries] == [km]
         assert len(codes) == 1
-        # Der's two parities are two summands of one solve over the one system
+        # one solve over the one system gives Der of both parities
         assert_one_solve(g5, [km], solves)
         # one elimination, unless no coordinate is free
         assert len(eliminations) == int(any(c.size for c in solves[0][1]))
@@ -116,7 +113,7 @@ def test_lemma_suite_reuses_the_h1_spaces(monkeypatch):
         assert len(_grid_batches(p)) == batches
         assert suite_lemmas(p) == []
         assert len(solves) == batches
-        assert sum(len(systems) for systems, _ in solves) == 2 * p * p
+        assert sum(len(systems) for systems, _ in solves) == p * p
         assert len(inner) == p * p
 
 
